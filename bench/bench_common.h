@@ -44,67 +44,25 @@ inline std::unique_ptr<rl::DqnAgent> clone_policy(const rl::DqnAgent& agent,
   return copy;
 }
 
-/// DQN hyper-parameters used by every experiment (kept in one place so the
-/// tables are comparable).
-inline rl::DqnParams standard_dqn(std::uint64_t total_env_steps,
-                                  std::uint64_t seed = 7) {
-  rl::DqnParams dp;
-  dp.hidden = {64, 64};
-  dp.gamma = 0.9;
-  dp.lr = 1e-3;
-  dp.min_replay = 128;
-  dp.batch_size = 32;
-  dp.target_sync_every = 250;
-  dp.double_dqn = true;
-  dp.epsilon_decay_steps = total_env_steps * 3 / 4;
-  dp.seed = seed;
-  return dp;
-}
-
-/// Trains a fresh agent on `env` and returns it.
+/// Trains a fresh agent (rl::standard_dqn) on `env` and returns it.
+/// `round` is part of the experiment definition (changing it changes the
+/// curve, like a seed); `actors` only fans the environment steps across
+/// threads — results are bit-identical at any value.
 inline std::unique_ptr<rl::DqnAgent> train_agent(core::NocConfigEnv& env,
-                                                 int episodes,
-                                                 std::uint64_t seed = 7) {
+                                                 int episodes, int round = 1,
+                                                 int actors = 0) {
   const auto steps =
       static_cast<std::uint64_t>(episodes) *
       static_cast<std::uint64_t>(env.params().epochs_per_episode);
   auto agent = std::make_unique<rl::DqnAgent>(
-      env.state_size(), env.num_actions(), standard_dqn(steps, seed));
+      env.state_size(), env.num_actions(), rl::standard_dqn(steps));
   core::TrainParams tp;
-  tp.episodes = episodes;
-  tp.eval_every = 0;
-  core::train_dqn(env, *agent, tp);
-  return agent;
-}
-
-/// Trains a fresh agent with the multi-actor collector
-/// (core::train_dqn_parallel). `round` is part of the experiment definition
-/// (changing it changes the curve, like a seed); `actors` only fans the
-/// environment stepping across threads — results are bit-identical at any
-/// value, so tables stay actors-invariant while training buys wall-clock.
-inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
-    const core::NocEnvParams& ep, int episodes, int round, int actors,
-    std::uint64_t seed = 7) {
-  const auto steps = static_cast<std::uint64_t>(episodes) *
-                     static_cast<std::uint64_t>(ep.epochs_per_episode);
-  core::NocConfigEnv probe(ep);  // observation/action dims only
-  auto agent = std::make_unique<rl::DqnAgent>(
-      probe.state_size(), probe.num_actions(), standard_dqn(steps, seed));
-  core::ParallelTrainParams tp;
   tp.episodes = episodes;
   tp.round = round;
   tp.actors = actors;
   tp.eval_every = 0;
-  core::train_dqn_parallel(ep, *agent, tp);
+  core::train_dqn(env, *agent, tp);
   return agent;
-}
-
-/// Mean + normal-approximation 95% CI of one metric across replica values.
-/// Thin alias for core::summarize_metric (the implementation moved into the
-/// library so the fleet harness and tests share it); kept so the table
-/// benches read as before.
-inline core::MetricSummary summarize_metric(const std::vector<double>& xs) {
-  return core::summarize_metric(xs);
 }
 
 /// Honors `--trace-out=` / `--metrics-out=` / `--trace-sample=` on the table

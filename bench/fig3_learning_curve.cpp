@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   const auto steps = static_cast<std::uint64_t>(episodes) * 48;
   rl::DqnAgent agent(env.state_size(), env.num_actions(),
-                     bench::standard_dqn(steps));
+                     rl::standard_dqn(steps));
   core::TrainParams tp;
   tp.episodes = episodes;
   tp.eval_every = 10;

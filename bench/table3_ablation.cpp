@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
         Variant{"ddqn+dueling", true, false, true},
         Variant{"ddqn+3step", true, false, false, 3}}) {
     core::NocConfigEnv env(base_env(size));
-    rl::DqnParams dp = bench::standard_dqn(
+    rl::DqnParams dp = rl::standard_dqn(
         static_cast<std::uint64_t>(episodes) * 32);
     dp.double_dqn = v.double_dqn;
     dp.prioritized = v.prioritized;

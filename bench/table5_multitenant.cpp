@@ -45,9 +45,9 @@ std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
       p95.push_back(s.p95_latency);
       thru.push_back(s.accepted_rate);
     }
-    out[t].latency = bench::summarize_metric(lat);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
+    out[t].latency = core::summarize_metric(lat);
+    out[t].p95 = core::summarize_metric(p95);
+    out[t].throughput = core::summarize_metric(thru);
   }
   return out;
 }

@@ -7,8 +7,8 @@
 // happily trades victim p95 for fabric-wide energy) while spending less
 // power than static-max.
 //
-// Training uses the multi-actor collector (round= is semantic, actors= is
-// thread fan-out only) and replication fans out over the experiment engine;
+// Training runs `round` lockstep episode lanes (round= is semantic, actors=
+// is thread fan-out only) and replication fans out over the experiment engine;
 // results (including the emitted JSON) are bit-identical at any
 // --jobs/actors= value. `--smoke` shrinks everything for CI; `out=FILE.json`
 // dumps per-tenant metrics via bench/bench_json.h.
@@ -51,10 +51,10 @@ std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
       thru.push_back(s.accepted_rate);
       slo.push_back(s.slo_hit_rate);
     }
-    out[t].latency = bench::summarize_metric(lat);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
-    out[t].slo_hit_rate = bench::summarize_metric(slo);
+    out[t].latency = core::summarize_metric(lat);
+    out[t].p95 = core::summarize_metric(p95);
+    out[t].throughput = core::summarize_metric(thru);
+    out[t].slo_hit_rate = core::summarize_metric(slo);
   }
   return out;
 }
@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
-  // Multi-actor training (PR 10): `round` is semantic (part of the
-  // experiment definition), `actors` is pure wall-clock fan-out — the table
-  // and the emitted JSON are bit-identical at any actors/jobs value.
+  // `round` is semantic (part of the experiment definition), `actors` is
+  // pure wall-clock fan-out — the table and the emitted JSON are
+  // bit-identical at any actors/jobs value.
   const int round = cfg.get("round", 8);
   const int actors = cfg.get("actors", 0);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
@@ -143,8 +143,8 @@ int main(int argc, char** argv) {
             << " mW; round = " << round << "; jobs = " << runner.jobs()
             << ")\n\n";
 
-  auto qos_agent = bench::train_agent_parallel(qos_ep, episodes, round, actors);
-  auto agg_agent = bench::train_agent_parallel(agg_ep, episodes, round, actors);
+  auto qos_agent = bench::train_agent(qos_env, episodes, round, actors);
+  auto agg_agent = bench::train_agent(agg_env, episodes, round, actors);
 
   // `save_policy=FILE` persists the QoS-trained policy so a `.drlsc`
   // [controller] block can replay this row via `scenarioctl run`. The

@@ -1,20 +1,21 @@
-// Multi-actor training wall-clock bench (PR 10): times DQN training on the
-// T6 QoS scenario three ways — the serial trainer (core::train_dqn), the
-// multi-actor collector pinned to one worker (its overhead floor), and the
-// collector at `actors=` workers — and emits the speedups in the tracked
-// BENCH_*.json format (bench_json.h).
+// Multi-actor training wall-clock bench: times DQN training on the T6 QoS
+// scenario three ways — serial (core::train_dqn at round=1), `round=`
+// lockstep lanes stepped by one worker (the lane overhead floor), and the
+// same rounds stepped by `actors=` workers — and emits the timings in the
+// tracked BENCH_*.json format (bench_json.h).
 //
 //   ./bench/train_parallel                     # full scale, actors=8
 //   ./bench/train_parallel --smoke             # CI scale
 //   ./bench/train_parallel actors=8 jobs=8 out=BENCH_PR10.json
 //
-// The collector's learning curve differs from the serial trainer's (rounds
-// change the replay merge order — `round` is part of the experiment
-// definition), so this compares wall clock only; bit-identity across
-// `actors` values is pinned separately by tests/train_parallel_test.cpp.
-// Timings are machine-dependent: refresh on an idle machine, best of
-// `repeats` runs.
+// A round>1 run learns a different curve from the serial one (lanes
+// interleave their transitions — `round` is part of the experiment
+// definition), so serial vs round compares wall clock of different work;
+// actors=1 vs actors=N is the like-for-like thread speedup, and its
+// bit-identity is pinned by tests/train_parallel_test.cpp. Timings are
+// machine-dependent: refresh on an idle machine, best of `repeats` runs.
 #include <chrono>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -34,6 +35,12 @@ using namespace drlnoc;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: train_parallel [--smoke] [size=N] [episodes=N] [round=N]\n"
+    "                      [actors=N] [repeats=N] [out=FILE.json] [log=L]\n"
+    "Times T6 QoS-scenario DQN training: serial (round=1), then round=N\n"
+    "lockstep lanes at 1 and at `actors` worker threads.\n";
+
 /// Best-of-`repeats` wall-clock seconds of `fn`.
 template <typename Fn>
 double best_seconds(int repeats, Fn&& fn) {
@@ -48,14 +55,16 @@ double best_seconds(int repeats, Fn&& fn) {
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // `--smoke` is a bare flag (no value); strip it before Config parsing.
   std::vector<const char*> args;
   bool smoke = false;
   for (int i = 0; i < argc; ++i) {
     const std::string tok = argv[i];
+    if (tok == "--help" || tok == "-h") {
+      std::cout << kUsage;
+      return 0;
+    }
     if (tok == "--smoke" || tok == "smoke") {
       smoke = true;
       continue;
@@ -73,8 +82,7 @@ int main(int argc, char** argv) {
   const int repeats = cfg.get("repeats", smoke ? 1 : 3);
 
   // The T6 scenario (table6_qos.cpp): latency-critical DNN pipeline over a
-  // background sweep — the training workload whose wall clock this PR
-  // targets.
+  // background sweep — the training workload being timed.
   auto s = std::make_shared<scenario::Scenario>();
   s->name = "qos_dnn_vs_background";
   s->net.width = s->net.height = size;
@@ -115,21 +123,20 @@ int main(int argc, char** argv) {
             << size << " (round " << round << ", best of " << repeats
             << ")\n";
 
-  const double serial_s = best_seconds(repeats, [&] {
-    core::NocConfigEnv env(ep);
-    bench::train_agent(env, episodes);
-  });
-  std::cout << "  serial (train_dqn):        " << util::fmt(serial_s, 2)
+  const auto time_training = [&](int rnd, int workers) {
+    return best_seconds(repeats, [&] {
+      core::NocConfigEnv env(ep);
+      bench::train_agent(env, episodes, rnd, workers);
+    });
+  };
+  const double serial_s = time_training(1, 1);
+  std::cout << "  serial (round 1):          " << util::fmt(serial_s, 2)
             << " s\n";
-  const double par1_s = best_seconds(repeats, [&] {
-    bench::train_agent_parallel(ep, episodes, round, /*actors=*/1);
-  });
-  std::cout << "  collector, 1 actor:        " << util::fmt(par1_s, 2)
-            << " s\n";
-  const double parN_s = best_seconds(repeats, [&] {
-    bench::train_agent_parallel(ep, episodes, round, actors);
-  });
-  std::cout << "  collector, " << actors
+  const double par1_s = time_training(round, 1);
+  std::cout << "  round " << round << ", 1 actor:        "
+            << util::fmt(par1_s, 2) << " s\n";
+  const double parN_s = time_training(round, actors);
+  std::cout << "  round " << round << ", " << actors
             << " actors:       " << util::fmt(parN_s, 2) << " s\n"
             << "  speedup vs serial:         " << util::fmt(serial_s / parN_s, 2)
             << "x\n";
@@ -155,15 +162,25 @@ int main(int argc, char** argv) {
     bench::write_metrics_json(
         out, "train_parallel", metrics, {},
         "seconds (and dimensionless speedups)",
-        "T6 QoS-scenario training wall clock: serial train_dqn vs the "
-        "multi-actor collector. Speedup scales with build_host_threads — on "
-        "a single-core host the collector's batched forwards (computed for "
-        "every lane each step, exploring or not, so curves stay "
-        "bit-identical at any actors count) cost wall clock instead of "
-        "hiding behind parallel env stepping; expect >=3x at actors=8 on an "
-        ">=8-thread machine. Refresh with: ./build/bench/train_parallel "
-        "actors=8 out=BENCH_PR10.json");
+        "T6 QoS-scenario training wall clock: serial is core::train_dqn at "
+        "round=1; the actors runs use round=N lockstep lanes, which learn a "
+        "different curve, so serial vs round compares different simulated "
+        "work. actors=1 vs actors=N is the like-for-like thread speedup "
+        "(bit-identical results) and scales with build_host_threads. "
+        "Refresh with: ./build/bench/train_parallel actors=8 "
+        "out=BENCH_PR10.json");
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "train_parallel: " << e.what() << "\n" << kUsage;
+    return 2;
+  }
 }

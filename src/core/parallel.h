@@ -49,8 +49,8 @@ class ExperimentRunner {
 /// single-threaded; worker environments must never share them) and the
 /// reward's power reference calibrated once up front — every worker's fresh
 /// environment would deterministically recompute the same value from the
-/// same parameters, at two max-config epochs each. Every fan-out entry
-/// point (sweeps, replications, the parallel trainer) starts here.
+/// same parameters, at two max-config epochs each. The sweep and
+/// replication fan-outs start here.
 NocEnvParams with_calibrated_power_ref(const NocEnvParams& params);
 
 /// Evaluates every static configuration of `params.actions` — one fresh

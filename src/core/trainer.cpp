@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -128,196 +129,86 @@ EpisodeResult evaluate(NocConfigEnv& env, Controller& controller,
 
 TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
                       const TrainParams& params) {
-  TrainResult result;
-  for (int ep = 0; ep < params.episodes; ++ep) {
-    rl::State state = env.reset();
-    double ep_return = 0.0;
-    double loss_sum = 0.0;
-    int loss_count = 0;
-    bool done = false;
-    while (!done) {
-      int action;
-      {
-        obs::ScopedPhase rollout(obs::Phase::kRollout);
-        action = agent.act(state);
-      }
-      rl::StepResult r;
-      {
-        obs::ScopedPhase env_step(obs::Phase::kEnvStep);
-        r = env.step(action);
-      }
-      rl::Transition t;
-      t.state = state;
-      t.action = action;
-      t.reward = r.reward;
-      t.next_state = r.next_state;
-      t.done = r.done;
-      {
-        obs::ScopedPhase learn(obs::Phase::kLearn);
-        if (const auto loss = agent.observe(t)) {
-          loss_sum += *loss;
-          ++loss_count;
-        }
-      }
-      ep_return += r.reward;
-      state = r.next_state;
-      done = r.done;
-    }
-    result.episode_returns.push_back(ep_return);
-    result.episode_loss.push_back(loss_count ? loss_sum / loss_count : 0.0);
-
-    if (params.eval_every > 0 && (ep + 1) % params.eval_every == 0) {
-      DrlController greedy(env.actions(), agent);
-      const EpisodeResult eval = evaluate(env, greedy);
-      result.eval_rewards.push_back(eval.total_reward);
-      result.eval_episodes.push_back(ep + 1);
-      if (params.verbose) {
-        std::cout << "episode " << ep + 1 << " return=" << ep_return
-                  << " eval=" << eval.total_reward
-                  << " eps=" << agent.epsilon() << '\n';
-      }
-    }
-  }
-  return result;
-}
-
-TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
-                               const ParallelTrainParams& params) {
   if (params.episodes < 0) {
-    throw std::invalid_argument("train_dqn_parallel: episodes must be >= 0");
+    throw std::invalid_argument("train_dqn: episodes must be >= 0");
   }
   if (params.round < 1) {
-    throw std::invalid_argument("train_dqn_parallel: round must be >= 1");
+    throw std::invalid_argument("train_dqn: round must be >= 1");
   }
   TrainResult result;
-  if (params.episodes == 0) return result;
-
-  const NocEnvParams calibrated = with_calibrated_power_ref(base);
-  const int max_lanes = std::min(params.round, params.episodes);
+  const int lanes_max = std::min(params.round, params.episodes);
   const ExperimentRunner runner(params.actors);
 
-  // Lane environments persist across rounds; seek_episode() re-pins each
-  // onto the serial per-episode seed stream before every reset, so lane l
-  // of round r replays exactly the traffic a serial trainer would see on
-  // episode r*round + l.
-  std::vector<std::unique_ptr<NocConfigEnv>> envs;
-  envs.reserve(static_cast<std::size_t>(max_lanes));
-  for (int l = 0; l < max_lanes; ++l) {
-    envs.push_back(std::make_unique<NocConfigEnv>(calibrated));
+  // Lane 0 is the caller's env; the others share its calibrated power
+  // reference and run untapped (the observability taps are single-threaded).
+  std::vector<NocConfigEnv*> envs{&env};
+  std::vector<std::unique_ptr<NocConfigEnv>> owned;
+  NocEnvParams lane_params = env.params();
+  lane_params.recorder = nullptr;
+  lane_params.metrics = nullptr;
+  lane_params.reward.power_ref_mw = env.power_ref_mw();
+  for (int l = 1; l < lanes_max; ++l) {
+    owned.push_back(std::make_unique<NocConfigEnv>(lane_params));
+    envs.push_back(owned.back().get());
   }
-  NocConfigEnv eval_env(calibrated);
 
-  const int steps = calibrated.epochs_per_episode;
-  const int num_actions = envs[0]->num_actions();
-  std::vector<rl::State> states(static_cast<std::size_t>(max_lanes));
-  std::vector<std::vector<rl::Transition>> collected(
-      static_cast<std::size_t>(max_lanes));
-  std::vector<double> returns(static_cast<std::size_t>(max_lanes), 0.0);
-  std::vector<util::Rng> lane_rng;
-  nn::Matrix batch_states;
-  std::vector<int> greedy_actions;
-  std::vector<int> actions(static_cast<std::size_t>(max_lanes), 0);
+  const int first_episode = env.episode();
+  std::vector<rl::State> states(envs.size());
+  std::vector<int> actions(envs.size());
+  std::vector<rl::StepResult> steps(envs.size());
 
-  const int rounds = (params.episodes + params.round - 1) / params.round;
-  for (int r = 0; r < rounds; ++r) {
-    const int first = r * params.round;
-    const int lanes = std::min(params.round, params.episodes - first);
-
-    // Episode resets simulate a warm-up epoch each, so they fan out too.
+  for (int first = 0, lanes = 0; first < params.episodes; first += lanes) {
+    lanes = std::min(params.round, params.episodes - first);
+    // seek_episode() pins lane l onto episode first + l of the serial seed
+    // stream, whatever an eval or an earlier round did to the counter.
     runner.for_each(lanes, [&](int l) {
-      envs[l]->seek_episode(first + l);
+      envs[l]->seek_episode(first_episode + first + l);
       states[l] = envs[l]->reset();
     });
-    lane_rng.clear();
-    for (int l = 0; l < lanes; ++l) {
-      // Per-episode exploration sub-seed: a pure function of the global
-      // episode index, so the exploration sequence is independent of both
-      // the actor count and the round size a lane happens to land in.
-      lane_rng.emplace_back(agent.params().seed +
-                            0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(first + l) + 1));
-      collected[l].clear();
-      returns[l] = 0.0;
-    }
+    std::vector<double> returns(lanes, 0.0), loss_sum(lanes, 0.0);
+    std::vector<int> loss_count(lanes, 0);
 
-    for (int s = 0; s < steps; ++s) {
+    bool done = false;
+    while (!done) {
       {
-        // ONE batched forward selects greedy actions for every lane — the
-        // workspace MLP turns N per-lane matmuls into one N-row matmul.
-        // Greedy values are computed for exploring lanes too: the forward
-        // consumes no randomness, so it cannot perturb determinism.
         obs::ScopedPhase rollout(obs::Phase::kRollout);
-        batch_states.resize_fast(static_cast<std::size_t>(lanes),
-                                 states[0].size());
-        for (int l = 0; l < lanes; ++l) batch_states.set_row(l, states[l]);
-        agent.act_greedy_batch(batch_states, greedy_actions);
-        for (int l = 0; l < lanes; ++l) {
-          // Epsilon at the lane's GLOBAL step index — fixed-length episodes
-          // make the serial step count a closed form — with the draw order
-          // of DqnAgent::act (chance, then below only when exploring).
-          const std::uint64_t global_step =
-              static_cast<std::uint64_t>(first + l) *
-                  static_cast<std::uint64_t>(steps) +
-              static_cast<std::uint64_t>(s);
-          const double eps = agent.epsilon_at(global_step);
-          actions[l] =
-              lane_rng[l].chance(eps)
-                  ? static_cast<int>(lane_rng[l].below(
-                        static_cast<std::uint64_t>(num_actions)))
-                  : greedy_actions[l];
-        }
+        for (int l = 0; l < lanes; ++l) actions[l] = agent.act(states[l]);
       }
       runner.for_each(lanes, [&](int l) {
         obs::ScopedPhase env_step(obs::Phase::kEnvStep);
-        const rl::StepResult sr = envs[l]->step(actions[l]);
-        rl::Transition t;
-        t.state = states[l];
-        t.action = actions[l];
-        t.reward = sr.reward;
-        t.next_state = sr.next_state;
-        t.done = sr.done;
-        collected[l].push_back(std::move(t));
-        returns[l] += sr.reward;
-        states[l] = sr.next_state;
+        steps[l] = envs[l]->step(actions[l]);
       });
+      obs::ScopedPhase learn(obs::Phase::kLearn);
+      for (int l = 0; l < lanes; ++l) {
+        rl::Transition t;
+        t.state = std::move(states[l]);
+        t.action = actions[l];
+        t.reward = steps[l].reward;
+        t.next_state = steps[l].next_state;
+        t.done = steps[l].done;
+        if (const auto loss = agent.observe(t)) {
+          loss_sum[l] += *loss;
+          ++loss_count[l];
+        }
+        returns[l] += steps[l].reward;
+        states[l] = std::move(steps[l].next_state);
+      }
+      // Every lane runs the same fixed-length episode.
+      done = steps[0].done;
     }
 
-    // Deterministic merge: transitions drain step-major / lane-minor, the
-    // fixed round-robin order the design doc pins. Learn steps fire inside
-    // observe() exactly as in serial training; the online net was frozen
-    // through the rollout above, so which thread stepped which lane can
-    // never leak into the weights.
-    std::vector<double> loss_sum(static_cast<std::size_t>(lanes), 0.0);
-    std::vector<int> loss_count(static_cast<std::size_t>(lanes), 0);
-    {
-      obs::ScopedPhase learn(obs::Phase::kLearn);
-      for (int s = 0; s < steps; ++s) {
-        for (int l = 0; l < lanes; ++l) {
-          if (const auto loss = agent.observe(collected[l][s])) {
-            loss_sum[l] += *loss;
-            ++loss_count[l];
-          }
-        }
-      }
-    }
     for (int l = 0; l < lanes; ++l) {
       result.episode_returns.push_back(returns[l]);
       result.episode_loss.push_back(
           loss_count[l] ? loss_sum[l] / loss_count[l] : 0.0);
-    }
-
-    // Greedy evals at the same global-episode milestones as the serial
-    // trainer, run after the round's drain so they see the updated policy.
-    if (params.eval_every > 0) {
-      for (int l = 0; l < lanes; ++l) {
-        const int g = first + l;
-        if ((g + 1) % params.eval_every != 0) continue;
-        DrlController greedy(eval_env.actions(), agent);
-        const EpisodeResult eval = evaluate(eval_env, greedy);
+      const int episode = first + l + 1;
+      if (params.eval_every > 0 && episode % params.eval_every == 0) {
+        DrlController greedy(env.actions(), agent);
+        const EpisodeResult eval = evaluate(env, greedy);
         result.eval_rewards.push_back(eval.total_reward);
-        result.eval_episodes.push_back(g + 1);
+        result.eval_episodes.push_back(episode);
         if (params.verbose) {
-          std::cout << "episode " << g + 1 << " return=" << returns[l]
+          std::cout << "episode " << episode << " return=" << returns[l]
                     << " eval=" << eval.total_reward
                     << " eps=" << agent.epsilon() << '\n';
         }

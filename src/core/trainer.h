@@ -1,6 +1,12 @@
 // Training and evaluation protocol:
 //   * train_dqn      — online DQN training across episodes of the epoch MDP,
-//                      producing the learning curve (F3)
+//                      producing the learning curve (F3). Episodes run in
+//                      rounds of `round` lockstep lanes: each step the agent
+//                      acts for every lane, then the lanes' environment
+//                      steps fan out across `actors` threads, then each
+//                      lane's transition is observed — acts and observes on
+//                      the calling thread in lane order, so only env steps
+//                      run in parallel. round = 1 is the plain serial loop.
 //   * evaluate       — one greedy / frozen-policy episode under any
 //                      Controller, producing the comparison metrics (T1, T2)
 //   * find_best_static — oracle sweep over all static configurations
@@ -69,6 +75,13 @@ EpisodeResult evaluate(NocConfigEnv& env, Controller& controller,
 
 struct TrainParams {
   int episodes = 40;
+  /// Lockstep environment lanes per round. Part of the experiment
+  /// definition, like a seed: lane l of round r runs global episode
+  /// r*round + l of the serial per-episode seed stream. 1 = serial.
+  int round = 1;
+  /// Worker threads stepping the lanes; <= 0 means one per hardware
+  /// thread. Never affects results.
+  int actors = 0;
   int eval_every = 10;       ///< 0 disables periodic greedy evals
   bool verbose = false;
 };
@@ -80,35 +93,14 @@ struct TrainResult {
   std::vector<int> eval_episodes;       ///< episode index of each eval
 };
 
-/// Trains `agent` on `env` for `params.episodes` episodes.
+/// Trains `agent` on `env` for `params.episodes` episodes (see
+/// docs/ARCHITECTURE.md, "Parallel training"). Lane 0 is `env`; lanes
+/// 1..round-1 are built from env.params() with the observability taps
+/// stripped and env's power reference, so calibration runs once. Episode
+/// seeds continue from env.episode(): greedy evals (on `env`, after each
+/// round) never shift the training seed stream.
 TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
                       const TrainParams& params);
-
-/// Multi-actor rollout training (see docs/ARCHITECTURE.md, "Parallel
-/// training"). Episodes are grouped into rounds of `round` lanes; within a
-/// round all lanes step in lockstep, greedy actions come from ONE batched
-/// forward across the lanes (the PR 2 workspace MLP), and the collected
-/// transitions drain into the shared replay in a fixed round-robin order.
-/// `round` is semantic — changing it changes the learning curve — while
-/// `actors` is purely the worker-thread count fanning the environment
-/// steps, so results are bit-identical at any `actors` value.
-struct ParallelTrainParams {
-  int episodes = 40;
-  /// Lockstep environment lanes per round. Part of the experiment
-  /// definition, like a seed: lane l of round r runs global episode
-  /// r*round + l of the serial per-episode seed stream.
-  int round = 8;
-  /// Worker threads stepping the lanes; <= 0 means one per hardware
-  /// thread. Never affects results.
-  int actors = 0;
-  int eval_every = 10;  ///< 0 disables periodic greedy evals
-  bool verbose = false;
-};
-
-/// Trains `agent` over environments built from `base` (taps stripped,
-/// power reference calibrated once — see with_calibrated_power_ref).
-TrainResult train_dqn_parallel(const NocEnvParams& base, rl::DqnAgent& agent,
-                               const ParallelTrainParams& params);
 
 /// Evaluates every static configuration for one episode and returns results
 /// sorted by mean EDP (oracle-static baseline; element 0 is the oracle).

@@ -46,6 +46,20 @@ using nn::argmax_row;
 }
 }  // namespace
 
+DqnParams standard_dqn(std::uint64_t total_env_steps, std::uint64_t seed) {
+  DqnParams dp;
+  dp.hidden = {64, 64};
+  dp.gamma = 0.9;
+  dp.lr = 1e-3;
+  dp.min_replay = 128;
+  dp.batch_size = 32;
+  dp.target_sync_every = 250;
+  dp.double_dqn = true;
+  dp.epsilon_decay_steps = total_env_steps * 3 / 4;
+  dp.seed = seed;
+  return dp;
+}
+
 void DqnParams::validate() const {
   if (!std::isfinite(gamma) || gamma <= 0.0 || gamma > 1.0) {
     bad_param("gamma (expected in (0, 1])", gamma);
@@ -118,16 +132,6 @@ int DqnAgent::act_greedy(const State& state) {
   to_matrix_into(ws_state_, state);
   const nn::Matrix& q = online_.infer_ws(ws_state_);
   return static_cast<int>(argmax_row(q, 0));
-}
-
-void DqnAgent::act_greedy_batch(const nn::Matrix& states,
-                                std::vector<int>& actions) {
-  assert(states.cols() == state_size_);
-  const nn::Matrix& q = online_.infer_ws(states);
-  actions.resize(states.rows());
-  for (std::size_t r = 0; r < states.rows(); ++r) {
-    actions[r] = static_cast<int>(argmax_row(q, r));
-  }
 }
 
 std::vector<double> DqnAgent::q_values(const State& state) {

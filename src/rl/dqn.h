@@ -52,6 +52,11 @@ struct DqnParams {
   void validate() const;
 };
 
+/// The hyper-parameters the paper experiments (bench/) and `scenarioctl
+/// train` share, so results stay comparable: exploration decays over the
+/// first three quarters of `total_env_steps`.
+DqnParams standard_dqn(std::uint64_t total_env_steps, std::uint64_t seed = 7);
+
 class DqnAgent {
  public:
   DqnAgent(std::size_t state_size, int num_actions, DqnParams params);
@@ -60,11 +65,6 @@ class DqnAgent {
   int act(const State& state);
   /// Greedy action (evaluation).
   int act_greedy(const State& state);
-  /// Greedy actions for a batch of states (one row per state): a single
-  /// matmul through the online net instead of `rows` separate forwards.
-  /// Row r of `states` yields `actions[r]`; bit-identical to calling
-  /// act_greedy on each row.
-  void act_greedy_batch(const nn::Matrix& states, std::vector<int>& actions);
   /// Q-values of a state (evaluation / inspection).
   std::vector<double> q_values(const State& state);
 
@@ -73,10 +73,6 @@ class DqnAgent {
   std::optional<double> observe(const Transition& t);
 
   double epsilon() const;
-  /// Exploration rate at an arbitrary env-step count. Parallel rollout
-  /// collection uses this to evaluate the schedule at a lane's *global*
-  /// step index without mutating the agent.
-  double epsilon_at(std::uint64_t steps) const { return epsilon_.value(steps); }
   std::uint64_t steps() const { return env_steps_; }
   std::uint64_t learn_steps() const { return learn_steps_; }
   std::size_t replay_size() const;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "noc/network.h"
@@ -392,6 +393,14 @@ struct StressCase {
   int vcs;
   int pipeline;
 };
+
+// Printed into the discovered test names. Without it GoogleTest dumps the
+// struct's raw bytes, which include the string literals' load addresses and
+// so change from build to build.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << c.topology << "/" << c.routing << " vc" << c.vcs << " p"
+      << c.pipeline;
+}
 
 class ConservationStress : public ::testing::TestWithParam<StressCase> {};
 

@@ -1,13 +1,15 @@
-// Parallel training & versioned policy serving: actor-count invariance of
-// train_dqn_parallel, drlpol checkpoint round-trips and rejection messages,
-// batched greedy inference, and the DqnParams / Mlp::load hardening.
+// Parallel training & versioned policy serving: train_dqn at round=1 is the
+// plain serial loop, actor-count invariance at round>1, evals that leave the
+// training seed stream alone, drlpol checkpoint round-trips and rejection
+// messages, and the DqnParams / Mlp::load hardening.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/env_noc.h"
-#include "core/parallel.h"
 #include "core/trainer.h"
 #include "nn/layers.h"
 #include "rl/dqn.h"
@@ -37,37 +39,107 @@ rl::DqnParams small_agent_params() {
   return dp;
 }
 
-/// One full parallel training run at the given actor count; returns the
-/// trained agent's checkpoint bytes alongside the learning curve so tests
-/// can compare both.
-struct ParallelRun {
+/// One full training run; returns the trained agent's checkpoint bytes
+/// alongside the learning curve so tests can compare both.
+struct TrainRun {
   TrainResult result;
   std::string checkpoint;
 };
 
-ParallelRun run_parallel(int actors, int episodes = 6, int round = 4) {
-  const NocEnvParams ep = small_env();
-  rl::DqnAgent agent(NocConfigEnv(ep).state_size(), 36, small_agent_params());
-  ParallelTrainParams tp;
+std::string checkpoint_of(const rl::DqnAgent& agent) {
+  std::ostringstream os;
+  agent.save(os);
+  return os.str();
+}
+
+TrainRun run_training(int actors, int episodes = 6, int round = 4,
+                      int eval_every = 3,
+                      const NocEnvParams& ep = small_env()) {
+  NocConfigEnv env(ep);
+  rl::DqnAgent agent(env.state_size(), env.num_actions(),
+                     small_agent_params());
+  TrainParams tp;
   tp.episodes = episodes;
   tp.round = round;
   tp.actors = actors;
-  tp.eval_every = 3;
-  ParallelRun out;
-  out.result = train_dqn_parallel(ep, agent, tp);
-  std::ostringstream os;
-  agent.save(os);
-  out.checkpoint = os.str();
+  tp.eval_every = eval_every;
+  TrainRun out;
+  out.result = train_dqn(env, agent, tp);
+  out.checkpoint = checkpoint_of(agent);
   return out;
+}
+
+/// The serial protocol written out: reset -> act -> step -> observe, one
+/// episode after another on one environment.
+TrainRun reference_serial_loop(const NocEnvParams& ep, int episodes) {
+  NocConfigEnv env(ep);
+  rl::DqnAgent agent(env.state_size(), env.num_actions(),
+                     small_agent_params());
+  TrainRun out;
+  for (int e = 0; e < episodes; ++e) {
+    rl::State state = env.reset();
+    double ret = 0.0, loss_sum = 0.0;
+    int losses = 0;
+    bool done = false;
+    while (!done) {
+      const int action = agent.act(state);
+      const rl::StepResult r = env.step(action);
+      rl::Transition t;
+      t.state = state;
+      t.action = action;
+      t.reward = r.reward;
+      t.next_state = r.next_state;
+      t.done = r.done;
+      if (const auto loss = agent.observe(t)) {
+        loss_sum += *loss;
+        ++losses;
+      }
+      ret += r.reward;
+      state = r.next_state;
+      done = r.done;
+    }
+    out.result.episode_returns.push_back(ret);
+    out.result.episode_loss.push_back(losses ? loss_sum / losses : 0.0);
+  }
+  out.checkpoint = checkpoint_of(agent);
+  return out;
+}
+
+TEST(ParallelTraining, RoundOneIsTheSerialLoop) {
+  // round=1 must be the plain serial loop bit for bit — with a preset power
+  // reference and with the environment calibrating its own.
+  NocEnvParams calibrated = small_env();
+  calibrated.reward.power_ref_mw = 0.0;
+  for (const NocEnvParams& ep : {small_env(), calibrated}) {
+    const TrainRun ref = reference_serial_loop(ep, 5);
+    const TrainRun got = run_training(/*actors=*/2, 5, /*round=*/1,
+                                      /*eval_every=*/0, ep);
+    EXPECT_EQ(got.result.episode_returns, ref.result.episode_returns);
+    EXPECT_EQ(got.result.episode_loss, ref.result.episode_loss);
+    EXPECT_EQ(got.checkpoint, ref.checkpoint);
+  }
+}
+
+TEST(ParallelTraining, EvalsDoNotPerturbTraining) {
+  // A greedy eval resets the training env; that must not shift the seed
+  // stream the following training episodes draw from.
+  for (int round : {1, 2}) {
+    const TrainRun quiet = run_training(1, 6, round, /*eval_every=*/0);
+    const TrainRun evals = run_training(1, 6, round, /*eval_every=*/3);
+    EXPECT_EQ(evals.result.eval_episodes, (std::vector<int>{3, 6}));
+    EXPECT_EQ(quiet.result.episode_returns, evals.result.episode_returns)
+        << "round " << round;
+    EXPECT_EQ(quiet.checkpoint, evals.checkpoint) << "round " << round;
+  }
 }
 
 TEST(ParallelTraining, BitIdenticalAtAnyActorCount) {
   // The acceptance pin: 1, 2, and 8 actors produce the same learning curve
   // AND the same trained weights, byte for byte. `actors` is thread fan-out
   // only; the logical decomposition is fixed by `round`.
-  const ParallelRun a1 = run_parallel(1);
-  const ParallelRun a2 = run_parallel(2);
-  const ParallelRun a8 = run_parallel(8);
+  const TrainRun a1 = run_training(1);
+  const TrainRun a2 = run_training(2);
+  const TrainRun a8 = run_training(8);
 
   EXPECT_EQ(a1.result.episode_returns, a2.result.episode_returns);
   EXPECT_EQ(a1.result.episode_returns, a8.result.episode_returns);
@@ -84,11 +156,12 @@ TEST(ParallelTraining, BitIdenticalAtAnyActorCount) {
 }
 
 TEST(ParallelTraining, RoundSizeIsSemantic) {
-  // Changing `round` legitimately changes the learning curve (merge order
-  // and policy staleness differ) — the invariance contract is over actors,
-  // not rounds. This guards against accidentally making round a no-op.
-  const ParallelRun r4 = run_parallel(2, 6, 4);
-  const ParallelRun r2 = run_parallel(2, 6, 2);
+  // Changing `round` legitimately changes the learning curve (the lanes'
+  // transitions interleave differently) — the invariance contract is over
+  // actors, not rounds. This guards against accidentally making round a
+  // no-op.
+  const TrainRun r4 = run_training(2, 6, 4);
+  const TrainRun r2 = run_training(2, 6, 2);
   EXPECT_NE(r4.checkpoint, r2.checkpoint);
 }
 
@@ -114,40 +187,18 @@ TEST(ParallelTraining, LaneSeedsMatchTheSerialEpisodeStream) {
 }
 
 TEST(ParallelTraining, RejectsBadRoundAndEpisodes) {
-  const NocEnvParams ep = small_env();
-  rl::DqnAgent agent(NocConfigEnv(ep).state_size(), 36, small_agent_params());
-  ParallelTrainParams tp;
+  NocConfigEnv env(small_env());
+  rl::DqnAgent agent(env.state_size(), env.num_actions(),
+                     small_agent_params());
+  TrainParams tp;
   tp.round = 0;
-  EXPECT_THROW(train_dqn_parallel(ep, agent, tp), std::invalid_argument);
+  EXPECT_THROW(train_dqn(env, agent, tp), std::invalid_argument);
   tp.round = 4;
   tp.episodes = -1;
-  EXPECT_THROW(train_dqn_parallel(ep, agent, tp), std::invalid_argument);
+  EXPECT_THROW(train_dqn(env, agent, tp), std::invalid_argument);
   tp.episodes = 0;
-  const TrainResult r = train_dqn_parallel(ep, agent, tp);
+  const TrainResult r = train_dqn(env, agent, tp);
   EXPECT_TRUE(r.episode_returns.empty());
-}
-
-TEST(BatchedInference, MatchesPerStateGreedyActions) {
-  rl::DqnParams dp;
-  dp.hidden = {24, 24};
-  dp.dueling = true;
-  dp.seed = 17;
-  rl::DqnAgent agent(8, 5, dp);
-  util::Rng rng(123);
-  nn::Matrix states(16, 8);
-  std::vector<rl::State> rows(16, rl::State(8));
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::size_t c = 0; c < 8; ++c) {
-      rows[r][c] = rng.uniform();
-      states.at(r, c) = rows[r][c];
-    }
-  }
-  std::vector<int> batched;
-  agent.act_greedy_batch(states, batched);
-  ASSERT_EQ(batched.size(), 16u);
-  for (std::size_t r = 0; r < 16; ++r) {
-    EXPECT_EQ(batched[r], agent.act_greedy(rows[r])) << "row " << r;
-  }
 }
 
 // ---------------------------------------------------------------------------

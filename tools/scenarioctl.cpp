@@ -108,8 +108,8 @@ int help(const std::string& command) {
         << "scenarioctl train file=X out=F [episodes=N] [round=N]\n"
            "                 [actors=N] [eval_every=N] [seed=S]\n"
            "                 [epochs=N] [epoch_cycles=N] [qos_features=0|1]\n"
-           "Train a DQN policy on the scenario's epoch MDP with the\n"
-           "multi-actor collector (core::train_dqn_parallel) and save a\n"
+           "Train a DQN policy on the scenario's epoch MDP (core::train_dqn,\n"
+           "`round` lockstep episode lanes, default 8) and save a\n"
            "versioned `drlpol 1` checkpoint to F, stamped with the\n"
            "scenario's content hash and the building commit. `round` is\n"
            "part of the experiment definition (like a seed); `actors` is\n"
@@ -335,32 +335,20 @@ int cmd_train(const util::Config& cfg) {
   // fleet (aggregate features) can serve.
   ep.scenario_qos = cfg.get("qos_features", ep.scenario_qos);
 
-  core::ParallelTrainParams tp;
+  core::TrainParams tp;
   tp.episodes = cfg.get("episodes", tp.episodes);
-  tp.round = cfg.get("round", tp.round);
+  tp.round = cfg.get("round", 8);
   tp.actors = cfg.get("actors", tp.actors);
   tp.eval_every = cfg.get("eval_every", tp.eval_every);
   tp.verbose = true;
 
-  // The experiment-wide hyper-parameters (bench/bench_common.h's
-  // standard_dqn), sized to the training horizon.
-  rl::DqnParams dp;
-  dp.hidden = {64, 64};
-  dp.gamma = 0.9;
-  dp.lr = 1e-3;
-  dp.min_replay = 128;
-  dp.batch_size = 32;
-  dp.target_sync_every = 250;
-  dp.double_dqn = true;
-  dp.epsilon_decay_steps = static_cast<std::uint64_t>(tp.episodes) *
-                           static_cast<std::uint64_t>(epochs) * 3 / 4;
-  dp.seed = static_cast<std::uint64_t>(cfg.get("seed", 7LL));
-
-  // A throwaway env just for the observation/action dimensions; training
-  // builds its own calibrated lanes.
-  core::NocConfigEnv probe(ep);
-  rl::DqnAgent agent(probe.state_size(), probe.num_actions(), dp);
-  const core::TrainResult r = core::train_dqn_parallel(ep, agent, tp);
+  core::NocConfigEnv env(ep);
+  rl::DqnAgent agent(
+      env.state_size(), env.num_actions(),
+      rl::standard_dqn(static_cast<std::uint64_t>(tp.episodes) *
+                           static_cast<std::uint64_t>(epochs),
+                       static_cast<std::uint64_t>(cfg.get("seed", 7LL))));
+  const core::TrainResult r = core::train_dqn(env, agent, tp);
 
   rl::PolicyMeta meta;
   meta.scenario_hash = scenario::content_hash_hex(s);
