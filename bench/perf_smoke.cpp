@@ -27,6 +27,9 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "scenario/runtime.h"
+#include "scenario/scenario.h"
+#include "trace/generators.h"
 #include "util/config.h"
 
 namespace {
@@ -68,6 +71,40 @@ double bench_network(int size, int vcs, double rate, std::uint64_t cycles,
       drlnoc::noc::SteadyWorkload::make(net.topology(), "uniform", rate);
   return measure_rate(cycles, repeats, [&] {
     for (std::uint64_t i = 0; i < cycles; ++i) net.step(&w);
+  });
+}
+
+/// Router cycles per second at the T6 training load (table6_qos and the
+/// perfbench train workload): 8x8 mesh, a looping DNN-pipeline trace tenant
+/// on nodes 0-15 over uniform background traffic at 0.05. Near saturation
+/// with almost every router active — where training spends its time.
+double bench_network_t6(std::uint64_t cycles, int repeats) {
+  drlnoc::scenario::Scenario s;
+  s.net.width = s.net.height = 8;
+  s.net.seed = 1;
+  drlnoc::scenario::TenantSpec dnn;
+  dnn.name = "dnn";
+  dnn.kind = drlnoc::scenario::WorkloadKind::kTrace;
+  drlnoc::trace::DnnPipelineParams dp;
+  dp.nodes = 16;
+  dp.batches = 4;
+  dnn.trace = std::make_shared<const drlnoc::trace::Trace>(
+      drlnoc::trace::generate_dnn_pipeline(dp));
+  dnn.loop = true;
+  dnn.nodes = drlnoc::scenario::parse_node_set("0-15", 64);
+  s.tenants.push_back(std::move(dnn));
+  drlnoc::scenario::TenantSpec bg;
+  bg.name = "background";
+  bg.kind = drlnoc::scenario::WorkloadKind::kSteady;
+  bg.pattern = "uniform";
+  bg.rate = 0.05;
+  s.tenants.push_back(std::move(bg));
+
+  auto net = drlnoc::scenario::build_network(s);
+  auto w = drlnoc::scenario::build_workload(s, net->topology());
+  net->set_tenant_tracking(w->num_tenants());
+  return measure_rate(cycles, repeats, [&] {
+    for (std::uint64_t i = 0; i < cycles; ++i) net->step(w.get());
   });
 }
 
@@ -186,6 +223,7 @@ int main(int argc, char** argv) {
                        bench_network(32, 4, 0.005, n(3000), repeats));
   metrics.emplace_back("net_step_32x32_vc4_med",
                        bench_network(32, 4, 0.01, n(2000), repeats));
+  metrics.emplace_back("net_step_8x8_t6", bench_network_t6(n(6000), repeats));
   metrics.emplace_back("mlp_forward_rows_b1",
                        bench_mlp_forward(1, n(20000), repeats));
   metrics.emplace_back("mlp_forward_rows_b32",

@@ -84,13 +84,13 @@ int main() {
   p.width = p.height = 4;
   p.seed = 77;
   noc::Network original(p);
+  trace::TraceRecorder recorder(original.num_nodes());
+  recorder.attach(original);  // before stepping: captures every delivery
   noc::SteadyWorkload synth =
       noc::SteadyWorkload::make(original.topology(), "hotspot", 0.08);
   for (int i = 0; i < 1500; ++i) original.step(&synth);
   for (int i = 0; i < 20000 && !original.drained(); ++i)
     original.step(nullptr);
-  trace::TraceRecorder recorder(original.num_nodes());
-  recorder.capture(original);
   const auto capture = std::make_shared<const trace::Trace>(recorder.build());
 
   noc::Network replayed(p);

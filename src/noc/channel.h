@@ -34,10 +34,18 @@ class Channel {
   /// activity flag and in-flight counter. Every send bumps the counter and
   /// re-arms the flag, every receive drops the counter, so a zero counter
   /// proves nothing is in flight toward that node — one leg of the
-  /// network-level quiescence test. Unregistered channels behave as before.
-  void set_sink(std::uint8_t* active, std::uint32_t* inflight) {
+  /// network-level quiescence test. Channels into a router also name the
+  /// router's pending word and this channel's bit in it: every send sets the
+  /// bit, so the router's receive visits only channels that hold items (it
+  /// clears the bit once the channel is empty). Unregistered channels behave
+  /// as before.
+  void set_sink(std::uint8_t* active, std::uint32_t* inflight,
+                std::uint64_t* pending = nullptr,
+                std::uint64_t pending_bit = 0) {
     sink_active_ = active;
     sink_inflight_ = inflight;
+    sink_pending_ = pending;
+    pending_bit_ = pending_bit;
   }
 
   void send(T item, Cycle now) {
@@ -85,6 +93,7 @@ class Channel {
       ++*sink_inflight_;
       *sink_active_ = 1;
     }
+    if (sink_pending_ != nullptr) *sink_pending_ |= pending_bit_;
   }
 
   struct Entry {
@@ -95,6 +104,8 @@ class Channel {
   util::RingBuffer<Entry> entries_;
   std::uint8_t* sink_active_ = nullptr;
   std::uint32_t* sink_inflight_ = nullptr;
+  std::uint64_t* sink_pending_ = nullptr;
+  std::uint64_t pending_bit_ = 0;
 };
 
 using FlitChannel = Channel<Flit>;

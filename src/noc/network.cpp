@@ -77,6 +77,7 @@ Network::Network(NetworkParams params, PowerParams power_params,
   inflight_flits_.assign(static_cast<std::size_t>(n), 0);
   inflight_credits_.assign(static_cast<std::size_t>(n), 0);
   node_buffered_.assign(static_cast<std::size_t>(n), 0);
+  node_pending_.assign(static_cast<std::size_t>(n), 0);
   wire();
   per_router_configs_.assign(static_cast<std::size_t>(n), config_);
   refresh_active_capacity();
@@ -102,15 +103,25 @@ void Network::wire() {
   // Inter-router links: one flit channel downstream + one credit channel back.
   links_ = topology_->links();
   num_links_ = static_cast<int>(links_.size());
-  auto sink = [&](auto& chan, NodeId node, std::vector<std::uint32_t>& count) {
-    chan->set_sink(&node_active_[static_cast<std::size_t>(node)],
-                   &count[static_cast<std::size_t>(node)]);
+  // Channels into a router also set that router's pending bit for the
+  // channel: flits of port p at bit p, credits at bit 32 + p. NIC-side
+  // channels pass no bit (the NIC polls its two inbound channels).
+  constexpr int kNicSide = -1;
+  auto sink = [&](auto& chan, NodeId node, std::vector<std::uint32_t>& count,
+                  int pending_bit) {
+    const auto idx = static_cast<std::size_t>(node);
+    if (pending_bit == kNicSide) {
+      chan->set_sink(&node_active_[idx], &count[idx]);
+    } else {
+      chan->set_sink(&node_active_[idx], &count[idx], &node_pending_[idx],
+                     std::uint64_t{1} << pending_bit);
+    }
   };
   for (const Link& link : links_) {
     auto fc = std::make_unique<FlitChannel>(params_.link_latency);
     auto cc = std::make_unique<CreditChannel>(params_.link_latency);
-    sink(fc, link.to.node, inflight_flits_);
-    sink(cc, link.from.node, inflight_credits_);
+    sink(fc, link.to.node, inflight_flits_, link.to.port);
+    sink(cc, link.from.node, inflight_credits_, 32 + link.from.port);
     at(link.from.node, link.from.port).out_flits = fc.get();
     at(link.from.node, link.from.port).in_credits = cc.get();
     at(link.from.node, link.from.port).to_router = true;
@@ -127,10 +138,10 @@ void Network::wire() {
     auto ej_f = std::make_unique<FlitChannel>(1);
     auto ej_c = std::make_unique<CreditChannel>(1);
     // All four NIC channels terminate at node i (router or its own NIC).
-    sink(inj_f, i, inflight_flits_);
-    sink(ej_f, i, inflight_flits_);
-    sink(inj_c, i, inflight_credits_);
-    sink(ej_c, i, inflight_credits_);
+    sink(inj_f, i, inflight_flits_, kLocalPort);
+    sink(ej_f, i, inflight_flits_, kNicSide);
+    sink(inj_c, i, inflight_credits_, kNicSide);
+    sink(ej_c, i, inflight_credits_, 32 + kLocalPort);
     at(i, kLocalPort).in_flits = inj_f.get();
     at(i, kLocalPort).out_credits = inj_c.get();
     at(i, kLocalPort).out_flits = ej_f.get();
@@ -145,6 +156,8 @@ void Network::wire() {
   }
 
   for (int i = 0; i < n; ++i) {
+    routers_[static_cast<std::size_t>(i)]->set_pending(
+        &node_pending_[static_cast<std::size_t>(i)]);
     for (int p = 0; p < radix; ++p) {
       const PortChans& pc = at(i, p);
       routers_[static_cast<std::size_t>(i)]->connect(
@@ -408,7 +421,8 @@ void Network::step(TrafficInjector* injector) {
   // channel latency >= 1 makes the per-node NIC/router interleaving
   // indistinguishable from the old all-NICs-then-all-routers order, so the
   // simulated behavior is bit-identical to cycle stepping. Records are
-  // harvested inline, still in ascending node order.
+  // harvested inline and reach an attached record sink in ascending node
+  // order; with no sink they are dropped after accounting.
   const int n = num_nodes();
   int stepped = 0;
   for (int node = 0; node < n; ++node) {
@@ -462,7 +476,7 @@ void Network::step(TrafficInjector* injector) {
         }
       }
       if (injector != nullptr) injector->on_packet_delivered(rec);
-      pending_records_.push_back(rec);
+      if (record_sink_ != nullptr) record_sink_->push_back(rec);
     }
     recs.clear();
 
@@ -639,16 +653,6 @@ EpochStats Network::drain_epoch_stats() {
                       static_cast<std::int32_t>(s.packets_offered));
   }
   return s;
-}
-
-std::vector<PacketRecord> Network::drain_records() {
-  // Copy-then-clear (rather than std::exchange with a fresh vector) so the
-  // accumulator keeps its capacity: per-cycle harvesting stays
-  // allocation-free once a window's worth of records has been seen.
-  std::vector<PacketRecord> out(pending_records_.begin(),
-                                pending_records_.end());
-  pending_records_.clear();
-  return out;
 }
 
 bool Network::drained() const {

@@ -216,11 +216,16 @@ class Network {
   void set_metrics(obs::NetworkMetrics* metrics);
   const obs::NetworkMetrics* metrics() const { return metrics_; }
 
+  /// Attaches a (non-owning) record sink; null detaches (the default). Every
+  /// delivered packet that counts as received is appended, in harvest order:
+  /// ascending node per cycle, ejection order per node. Corrupted deliveries
+  /// are not appended. With no sink the harvest keeps its accounting and
+  /// injector notification and then drops the record, so stepping keeps no
+  /// per-packet state. The vector must outlive stepping while attached.
+  void set_record_sink(std::vector<PacketRecord>* sink) { record_sink_ = sink; }
+
   /// Statistics accumulated since the previous drain (or construction).
   EpochStats drain_epoch_stats();
-
-  /// All completed-packet records since the previous call.
-  std::vector<PacketRecord> drain_records();
 
   bool drained() const;  ///< no flit anywhere in the system
 
@@ -298,6 +303,7 @@ class Network {
   // Observability taps; null (and every hook branch dead) until attached.
   obs::FlightRecorder* recorder_ = nullptr;
   obs::NetworkMetrics* metrics_ = nullptr;
+  std::vector<PacketRecord>* record_sink_ = nullptr;
   std::vector<std::uint32_t> node_step_divisor_;  ///< slowdown gating (>= 1)
   std::vector<NocConfig> per_router_configs_;
   double active_capacity_ = 1.0;  ///< cached; refreshed on reconfiguration
@@ -314,6 +320,10 @@ class Network {
   std::vector<std::uint32_t> inflight_flits_;    ///< inbound flits per node
   std::vector<std::uint32_t> inflight_credits_;  ///< inbound credits per node
   std::vector<std::uint32_t> node_buffered_;  ///< router buffered-flit mirror
+  /// Per router: inbound channels holding items (flits of port p at bit p,
+  /// credits at bit 32 + p), set by channel sends, cleared by the router's
+  /// receive once a channel is empty (see Router::set_pending).
+  std::vector<std::uint64_t> node_pending_;
   long long buffered_total_ = 0;  ///< sum of node_buffered_ (exact, integer)
 
   std::vector<util::Rng> node_rngs_;
@@ -337,7 +347,6 @@ class Network {
   util::Accumulator epoch_occupancy_;
   util::Accumulator epoch_active_;  ///< stepped-node fraction per cycle
   std::vector<std::uint64_t> epoch_node_recv_;
-  std::vector<PacketRecord> pending_records_;
   // Fault epoch accumulators (only touched while a fault model is attached).
   std::uint64_t epoch_flits_dropped_ = 0;
   std::uint64_t epoch_retries_ = 0;

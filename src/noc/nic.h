@@ -65,7 +65,7 @@ class Nic {
   void set_active_vcs(int vcs) { params_.active_vcs = vcs; }
 
   // --- observability --------------------------------------------------------
-  /// Packets completed since the last drain_records() call.
+  /// Packets completed since Network last harvested this NIC (every step).
   std::vector<PacketRecord>& records() { return records_; }
   std::size_t source_queue_len() const { return source_queue_.size(); }
   std::uint64_t injected_flits() const { return injected_flits_; }

@@ -36,7 +36,8 @@ Router::Router(NodeId id, RouterParams params, const RoutingAlgorithm& routing)
                -1),
       vc_meta_(static_cast<std::size_t>(params.num_ports * params.max_vcs)) {
   // Hard limits of the compact pipeline state: VcMeta packs ports/VCs/depth
-  // into int8 and SA stage 2 tracks output ports in a 32-bit mask. Checked
+  // into int8, SA stage 2 tracks output ports in a 32-bit mask, and the
+  // pending word gives flits and credits 32 port bits each. Checked
   // unconditionally — exceeding them in a Release build would silently
   // corrupt arbitration.
   if (params.num_ports > 32 || params.max_vcs > 127 ||
@@ -125,38 +126,53 @@ void Router::step(Cycle cycle) {
 }
 
 void Router::receive_phase(Cycle cycle) {
-  for (int p = 0; p < params_.num_ports; ++p) {
-    auto& w = ports_[static_cast<std::size_t>(p)];
-    if (w.in_flits) {
-      while (w.in_flits->ready(cycle)) {
-        const VcId vc = w.in_flits->peek(cycle).vc;
-        assert(vc >= 0 && vc < params_.max_vcs);
-        InputVc& in = ivc(p, vc);
-        assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
-               "credit protocol violated: input buffer overflow");
-        // Single copy: channel slot straight into the input FIFO slot.
-        w.in_flits->receive_into(in.fifo.push_back_slot(), cycle);
-        const int idx = p * params_.max_vcs + vc;
-        VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
-        ++meta.occ;
-        // A flit landing in an empty idle VC is a freshly routable head
-        // (an idle VC with older flits was listed when its tail departed).
-        if (meta.state == VcState::kIdle && meta.occ == 1) {
-          route_ready_.push_back(static_cast<std::int16_t>(idx));
-        }
-        ++buffered_total_;
-        ++activity_.buffer_writes;
+  // Visit only the inbound channels whose pending bit is set (flits of port
+  // p at bit p, credits at bit 32 + p; set by every send, see
+  // Channel::set_sink), in ascending port order. A bit stays set while its
+  // channel holds items that are not yet due and is cleared once the
+  // channel is empty. Flit and credit receipts touch disjoint state, so
+  // taking all flits before all credits matches a per-port interleave.
+  assert(pending_ != nullptr && "router stepped before Network wiring");
+  std::uint64_t& pending = *pending_;
+  auto flit_ports = static_cast<std::uint32_t>(pending);
+  while (flit_ports != 0) {
+    const int p = std::countr_zero(flit_ports);
+    flit_ports &= flit_ports - 1;
+    FlitChannel& chan = *ports_[static_cast<std::size_t>(p)].in_flits;
+    while (chan.ready(cycle)) {
+      const VcId vc = chan.peek(cycle).vc;
+      assert(vc >= 0 && vc < params_.max_vcs);
+      InputVc& in = ivc(p, vc);
+      assert(static_cast<int>(in.fifo.size()) < params_.max_depth &&
+             "credit protocol violated: input buffer overflow");
+      // Single copy: channel slot straight into the input FIFO slot.
+      chan.receive_into(in.fifo.push_back_slot(), cycle);
+      const int idx = p * params_.max_vcs + vc;
+      VcMeta& meta = vc_meta_[static_cast<std::size_t>(idx)];
+      ++meta.occ;
+      // A flit landing in an empty idle VC is a freshly routable head
+      // (an idle VC with older flits was listed when its tail departed).
+      if (meta.state == VcState::kIdle && meta.occ == 1) {
+        route_ready_.push_back(static_cast<std::int16_t>(idx));
       }
+      ++buffered_total_;
+      ++activity_.buffer_writes;
     }
-    if (w.in_credits) {
-      while (w.in_credits->ready(cycle)) {
-        const Credit c = w.in_credits->receive(cycle);
-        OutputVc& out = ovc(p, c.vc);
-        ++out.credits;
-        assert(out.credits <= params_.max_depth &&
-               "credit protocol violated: credit overflow");
-      }
+    if (chan.empty()) pending &= ~(std::uint64_t{1} << p);
+  }
+  auto credit_ports = static_cast<std::uint32_t>(pending >> 32);
+  while (credit_ports != 0) {
+    const int p = std::countr_zero(credit_ports);
+    credit_ports &= credit_ports - 1;
+    CreditChannel& chan = *ports_[static_cast<std::size_t>(p)].in_credits;
+    while (chan.ready(cycle)) {
+      const Credit c = chan.receive(cycle);
+      OutputVc& out = ovc(p, c.vc);
+      ++out.credits;
+      assert(out.credits <= params_.max_depth &&
+             "credit protocol violated: credit overflow");
     }
+    if (chan.empty()) pending &= ~(std::uint64_t{1} << (32 + p));
   }
 }
 

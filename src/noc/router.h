@@ -69,6 +69,13 @@ class Router {
   void connect(PortId port, FlitChannel* in_flits, CreditChannel* out_credits,
                FlitChannel* out_flits, CreditChannel* in_credits);
 
+  /// Registers the word whose bits name this router's inbound channels that
+  /// hold items: flits of port p at bit p, credits of port p at bit 32 + p.
+  /// Network points each inbound channel's sink at the same word (see
+  /// Channel::set_sink); receive visits only the set bits. Must be set
+  /// before the first step().
+  void set_pending(std::uint64_t* pending) { pending_ = pending; }
+
   /// Sets the initial credit count of every VC of an output port to the
   /// capacity advertised by the downstream input unit. Called once by
   /// Network after wiring, before the first step().
@@ -194,6 +201,7 @@ class Router {
   const FaultModel* fault_model_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   std::vector<PortWiring> ports_;
+  std::uint64_t* pending_ = nullptr;  ///< inbound channels holding items
   std::vector<InputVc> inputs_;
   std::vector<OutputVc> outputs_;
   std::vector<int> out_active_vcs_;  ///< per output port (downstream gating)

@@ -1,6 +1,7 @@
 #include "scenario/composite_workload.h"
 
 #include <cassert>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +19,10 @@ CompositeWorkload::CompositeWorkload(int num_nodes,
   }
   if (tenants_.empty()) {
     throw std::invalid_argument("CompositeWorkload: no tenants");
+  }
+  // Deliveries are routed by the packet's 16-bit tenant tag.
+  if (tenants_.size() > std::numeric_limits<std::uint16_t>::max() + 1u) {
+    throw std::invalid_argument("CompositeWorkload: more than 65536 tenants");
   }
   local_of_.resize(tenants_.size());
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
@@ -109,7 +114,7 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
   assert(pending_tenant_ >= 0 && "on_packet_injected without generate");
   const int ti = pending_tenant_;
   pending_tenant_ = -1;
-  live_.emplace(packet_id, ti);
+  if (first_packet_id_ == 0) first_packet_id_ = packet_id;
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   const noc::NodeId local_src =
       b.remap ? local_of_[static_cast<std::size_t>(ti)]
@@ -119,10 +124,12 @@ void CompositeWorkload::on_packet_injected(noc::NodeId src,
 }
 
 void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
-  const auto it = live_.find(rec.packet_id);
-  if (it == live_.end()) return;  // not ours (e.g. pre-attach warm-up)
-  const int ti = it->second;
-  live_.erase(it);
+  // Not ours: injected before this composite drove the network (e.g. a
+  // pre-attach warm-up).
+  if (first_packet_id_ == 0 || rec.packet_id < first_packet_id_) return;
+  const int ti = rec.tenant;
+  assert(static_cast<std::size_t>(ti) < tenants_.size() &&
+         "delivery tagged with a tenant this composite does not have");
   ++delivered_[static_cast<std::size_t>(ti)];
   TenantBinding& b = tenants_[static_cast<std::size_t>(ti)];
   if (!b.remap && b.start == 0.0) {

@@ -3,8 +3,8 @@
 // injector, a node binding, and an activity window; the composite translates
 // the network's global (node, time) view into each child's local view and
 // back, tags every generated packet with its tenant id (tenant_for), and
-// routes delivery notifications to the owning child so dependency-gated
-// trace tenants keep their congestion feedback.
+// routes delivery notifications to the owning child by that id, so
+// dependency-gated trace tenants keep their congestion feedback.
 //
 // Determinism contract: per node and per core tick tenants are polled in
 // ascending tenant-id order and the first accepting tenant wins the slot;
@@ -18,7 +18,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/network.h"
@@ -96,8 +95,12 @@ class CompositeWorkload : public noc::TrafficInjector {
   std::vector<std::vector<noc::NodeId>> local_of_;
   std::vector<std::uint64_t> emitted_;
   std::vector<std::uint64_t> delivered_;
-  /// Live packet -> owning tenant, for delivery routing.
-  std::unordered_map<std::uint64_t, int> live_;
+  /// Id of the first packet this composite injected (0 = none yet).
+  /// Deliveries carry their tenant id (PacketRecord::tenant), so routing
+  /// needs no per-packet state; ids are assigned in injection order, so a
+  /// smaller id is a packet injected before this composite drove the
+  /// network.
+  std::uint64_t first_packet_id_ = 0;
   /// generate() -> packet_length_for()/tenant_for() -> on_packet_injected()
   /// handshake scratch.
   int pending_tenant_ = -1;

@@ -7,8 +7,8 @@ namespace drlnoc::trace {
 TraceRecorder::TraceRecorder(int nodes, int default_length)
     : nodes_(nodes), default_length_(default_length) {}
 
-void TraceRecorder::capture(noc::Network& net) {
-  for (const noc::PacketRecord& rec : net.drain_records()) add(rec);
+void TraceRecorder::attach(noc::Network& net) {
+  net.set_record_sink(&records_);
 }
 
 void TraceRecorder::add(const noc::PacketRecord& rec) {

@@ -1,8 +1,9 @@
 // TraceRecorder: captures a live simulation — synthetic, phased, or
-// DRL-controlled — into a Trace for later bit-exact replay. It consumes the
-// network's completed-packet records, so a run must be drained (all offered
-// packets delivered) for the capture to be complete; the recorder reports
-// how many packets it saw so callers can assert that.
+// DRL-controlled — into a Trace for later bit-exact replay. It attaches as
+// the network's record sink, so attach() must come before the first step
+// whose deliveries should be captured, and a run must be drained (all
+// offered packets delivered) for the capture to be complete; the recorder
+// reports how many packets it saw so callers can assert that.
 //
 // Replaying a capture with TraceWorkload on an identically-parameterised
 // Network reproduces the identical delivered-packet stream, bit for bit:
@@ -23,9 +24,11 @@ class TraceRecorder {
   /// the trace header (captured records always carry explicit lengths).
   explicit TraceRecorder(int nodes, int default_length = 4);
 
-  /// Pulls everything the network completed since the last drain_records()
-  /// call (by anyone) into the capture buffer.
-  void capture(noc::Network& net);
+  /// Attaches the capture buffer as `net`'s record sink (replacing any
+  /// other sink): every packet delivered from the next step on is captured.
+  /// The recorder must outlive stepping while attached; detach with
+  /// net.set_record_sink(nullptr).
+  void attach(noc::Network& net);
 
   /// Adds one completed packet directly (for custom harvesting loops).
   void add(const noc::PacketRecord& rec);

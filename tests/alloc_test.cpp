@@ -63,24 +63,49 @@ TEST(SteadyStateAllocations, NetworkStepIsAllocationFree) {
   p.width = p.height = 8;
   p.seed = 3;
   noc::Network net(p);
+  // A consumer that keeps records reserves its sink up front and empties
+  // it between windows; the harvest then only writes into that capacity.
+  const int kWindow = 2000;
+  std::vector<noc::PacketRecord> records;
+  records.reserve(static_cast<std::size_t>(kWindow) * 8);
+  net.set_record_sink(&records);
   // Well below saturation (~0.0625 for 8×8 uniform) so source-queue
   // high-water marks stop moving after warm-up.
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.04);
-  const int kWindow = 2000;
-  // Warm-up: reach steady state and establish every buffer capacity,
-  // including the per-window record accumulators.
+  // Warm-up: reach steady state and establish every buffer capacity.
   for (int i = 0; i < 2 * kWindow; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
+  records.clear();
   for (int i = 0; i < kWindow; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
+  records.clear();
 
   const std::uint64_t before = alloc_count();
   for (int i = 0; i < kWindow; ++i) net.step(&w);
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u) << "Network::step allocated in steady state";
+  EXPECT_GT(records.size(), 0u);
+}
+
+// The training path: an environment attaches no record sink and never
+// drains records, so stepping must keep no per-packet state at all — a
+// long audited window with nothing drained sees zero allocations.
+TEST(SteadyStateAllocations, NetworkStepWithoutRecordSinkIsAllocationFree) {
+  noc::NetworkParams p;
+  p.width = p.height = 8;
+  p.seed = 3;
+  noc::Network net(p);
+  noc::SteadyWorkload w =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.04);
+  for (int i = 0; i < 6000; ++i) net.step(&w);
+
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 12000; ++i) net.step(&w);
+  const std::uint64_t after = alloc_count();
+  EXPECT_EQ(after - before, 0u)
+      << "Network::step allocated with no record sink attached";
+  EXPECT_GT(net.total_packets_received(), 0u);
 }
 
 TEST(SteadyStateAllocations, NetworkStepAfterReconfigIsAllocationFree) {
@@ -88,14 +113,18 @@ TEST(SteadyStateAllocations, NetworkStepAfterReconfigIsAllocationFree) {
   p.width = p.height = 4;
   p.seed = 5;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  records.reserve(4096);
+  net.set_record_sink(&records);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "transpose", 0.06);
   for (int i = 0; i < 3000; ++i) net.step(&w);
   net.apply_config(noc::NocConfig{2, 4, 2});
   for (int i = 0; i < 3000; ++i) net.step(&w);
   (void)net.drain_epoch_stats();
-  (void)net.drain_records();
+  records.clear();
   for (int i = 0; i < 1500; ++i) net.step(&w);
+  records.clear();
 
   const std::uint64_t before = alloc_count();
   for (int i = 0; i < 1000; ++i) net.step(&w);

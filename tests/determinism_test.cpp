@@ -87,6 +87,8 @@ TEST(GoldenDeterminism, Mesh8x8UniformWithReconfig) {
   p.width = p.height = 8;
   p.seed = 42;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.10);
 
@@ -96,7 +98,7 @@ TEST(GoldenDeterminism, Mesh8x8UniformWithReconfig) {
   // exercises credit withholding and VC gating on live traffic.
   net.apply_config(noc::NocConfig{2, 4, 2});
   mix_stats(h, net.run_epoch(&w, 1500));
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 11893662481098957864ULL);
@@ -108,12 +110,14 @@ TEST(GoldenDeterminism, Mesh6x6OddEvenTranspose) {
   p.routing = "oddeven";  // adaptive: multiple candidates per route
   p.seed = 7;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "transpose", 0.12);
 
   Fnv h;
   mix_stats(h, net.run_epoch(&w, 2000));
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 634678814998183288ULL);
@@ -127,6 +131,8 @@ TEST(GoldenDeterminism, Mesh16x16UniformLowLoadWithReconfig) {
   p.width = p.height = 16;
   p.seed = 21;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.02);
 
@@ -134,7 +140,7 @@ TEST(GoldenDeterminism, Mesh16x16UniformLowLoadWithReconfig) {
   mix_stats(h, net.run_epoch(&w, 1200));
   net.apply_config(noc::NocConfig{2, 4, 2});
   mix_stats(h, net.run_epoch(&w, 1200));
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 10559580170762473702ULL);
@@ -146,15 +152,54 @@ TEST(GoldenDeterminism, Torus4x4DatelineClasses) {
   p.width = p.height = 4;
   p.seed = 13;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   noc::SteadyWorkload w =
       noc::SteadyWorkload::make(net.topology(), "uniform", 0.15);
 
   Fnv h;
   mix_stats(h, net.run_epoch(&w, 2000));
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 375709662462404824ULL);
+}
+
+TEST(GoldenDeterminism, Mesh8x8PipelinedSlowLinks) {
+  // Two-cycle links and a three-stage router pipeline leave channels holding
+  // items that are not yet due; a mid-run depth growth floods bonus credits
+  // and a per-node slowdown lets a degraded router's inbound channels pile
+  // up between its steps. Together they pin that receive only ever takes
+  // due items, in channel order.
+  noc::NetworkParams p;
+  p.width = p.height = 8;
+  p.link_latency = 2;
+  p.pipeline_stages = 3;
+  p.seed = 17;
+  p.initial_config = noc::NocConfig{4, 3, 3};
+  noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
+  noc::FaultParams fp;
+  fp.seed = 5;
+  noc::FaultEvent slow;
+  slow.at_cycle = 400;
+  slow.kind = noc::FaultEvent::Kind::kSlowdown;
+  slow.node = 27;
+  slow.factor = 3;
+  fp.events = {slow};
+  net.set_fault_model(fp);
+  noc::SteadyWorkload w =
+      noc::SteadyWorkload::make(net.topology(), "uniform", 0.06);
+
+  Fnv h;
+  mix_stats(h, net.run_epoch(&w, 1500));
+  net.apply_config(noc::NocConfig{4, 8, 3});  // depth 3 -> 8: bonus credits
+  mix_stats(h, net.run_epoch(&w, 1500));
+  mix_records(h, records);
+  mix_router_state(h, net);
+
+  EXPECT_EQ(h.value(), 5555545450419352645ULL);
 }
 
 TEST(GoldenDeterminism, DqnLearningTrajectory) {

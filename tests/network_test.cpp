@@ -36,6 +36,8 @@ void run_and_drain(Network& net, TrafficInjector& w, int cycles) {
 
 TEST(Network, DeliversSinglePacket) {
   Network net(small_mesh());
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   // Hand-inject one packet from node 0 to node 15.
   net.nic(0).offer_packet(15, 0.0, true, 1);
   int guard = 0;
@@ -44,7 +46,6 @@ TEST(Network, DeliversSinglePacket) {
     ++guard;
   }
   ASSERT_TRUE(net.drained());
-  auto records = net.drain_records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].src, 0);
   EXPECT_EQ(records[0].dst, 15);
@@ -63,9 +64,10 @@ TEST(Network, FlitConservationUniform) {
 
 TEST(Network, NoPacketLostOrDuplicated) {
   Network net(small_mesh(11));
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.08);
   run_and_drain(net, w, 4000);
-  auto records = net.drain_records();
   std::set<std::uint64_t> ids;
   for (const auto& r : records) {
     EXPECT_TRUE(ids.insert(r.packet_id).second)
@@ -76,10 +78,12 @@ TEST(Network, NoPacketLostOrDuplicated) {
 
 TEST(Network, LatencyRespectsLowerBound) {
   Network net(small_mesh(13));
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   SteadyWorkload w = SteadyWorkload::make(net.topology(), "uniform", 0.02);
   run_and_drain(net, w, 4000);
   const auto& topo = net.topology();
-  for (const auto& r : net.drain_records()) {
+  for (const auto& r : records) {
     // Lower bound: the head must cross min_hops inter-router links plus the
     // injection and ejection links (1 cycle each, single-cycle routers), and
     // the tail trails by the serialization latency. Core cycles == router
@@ -290,6 +294,8 @@ TEST(Network, PipelinedNetworkStillConservesFlits) {
 
 TEST(Network, CustomPacketLengthsHonored) {
   Network net(small_mesh(45));
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   net.nic(0).offer_packet(5, 0.0, true, 1, /*length=*/1);
   net.nic(0).offer_packet(5, 0.0, true, 2, /*length=*/9);
   int guard = 0;
@@ -298,7 +304,6 @@ TEST(Network, CustomPacketLengthsHonored) {
     ++guard;
   }
   ASSERT_TRUE(net.drained());
-  const auto records = net.drain_records();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].length + records[1].length, 10);
   EXPECT_EQ(net.total_flits_injected(), 10u);
@@ -307,11 +312,12 @@ TEST(Network, CustomPacketLengthsHonored) {
 TEST(Network, PhasePacketLengthFlowsThrough) {
   NetworkParams p = small_mesh(47);
   Network net(p);
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   std::vector<Phase> phases = {
       {"uniform", 0.05, 1e9, "bernoulli", /*flits_per_packet=*/2}};
   PhasedWorkload w(net.topology(), phases);
   run_and_drain(net, w, 2000);
-  const auto records = net.drain_records();
   ASSERT_FALSE(records.empty());
   for (const auto& r : records) EXPECT_EQ(r.length, 2);
 }

@@ -282,6 +282,8 @@ std::uint64_t mesh8x8_hash(obs::FlightRecorder* rec,
   p.width = p.height = 8;
   p.seed = 42;
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   if (rec != nullptr) net.set_flight_recorder(rec);
   if (metrics != nullptr) net.set_metrics(metrics);
   noc::SteadyWorkload w =
@@ -290,7 +292,7 @@ std::uint64_t mesh8x8_hash(obs::FlightRecorder* rec,
   mix_stats(h, net.run_epoch(&w, 1500));
   net.apply_config(noc::NocConfig{2, 4, 2});
   mix_stats(h, net.run_epoch(&w, 1500));
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
   return h.value();
 }

@@ -696,10 +696,12 @@ TEST(QosPinning, AnnotationsNeverPerturbTheTrafficStream) {
   const auto run = [](bool with_qos) {
     scenario::Scenario s = mixed_scenario(with_qos);
     auto net = scenario::build_network(s);
+    std::vector<noc::PacketRecord> records;
+    net->set_record_sink(&records);
     auto w = scenario::build_workload(s, net->topology());
     const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
     EXPECT_TRUE(r.completed);
-    std::uint64_t h = stream_hash(net->drain_records());
+    std::uint64_t h = stream_hash(records);
     h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
     h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);
     return h;

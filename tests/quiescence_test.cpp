@@ -124,6 +124,8 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   p.seed = 17;
   p.initial_config = noc::NocConfig{4, 4, 3};
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   WindowedUniform w(net.topology(), 0.10);
 
   Fnv h;
@@ -144,7 +146,7 @@ TEST(Quiescence, RearmAfterMidEpochReconfigWhileIdle) {
   mix_stats(h, net.run_epoch(&w, 900));
   mix_stats(h, net.run_epoch(&w, 600));  // drain tail
   EXPECT_TRUE(net.drained());
-  mix_records(h, net.drain_records());
+  mix_records(h, records);
   mix_router_state(h, net);
 
   EXPECT_EQ(h.value(), 17408074369770322554ULL);

@@ -220,11 +220,13 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   p.width = p.height = 4;
   p.seed = 42;
   noc::Network direct_net(p);
+  std::vector<noc::PacketRecord> direct_records;
+  direct_net.set_record_sink(&direct_records);
   trace::TraceWorkload direct(t);
   const auto direct_result =
       trace::run_trace_replay(direct_net, direct, 500000);
   ASSERT_TRUE(direct_result.completed);
-  const std::uint64_t direct_hash = stream_hash(direct_net.drain_records());
+  const std::uint64_t direct_hash = stream_hash(direct_records);
 
   // The same replay expressed as a single-tenant .drlsc scenario, loaded
   // from disk like a user would.
@@ -243,6 +245,8 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   }
   const Scenario s = ScenarioReader::read_file(scn_path);
   auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
   auto w = build_workload(s, net->topology());
   ScenarioRunParams rp;
   rp.cycle_limit = 500000;
@@ -251,17 +255,18 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
 
   // The delivered-packet stream — ids, endpoints, lengths, timestamps,
   // hops, tenant tags — must match bit for bit.
-  EXPECT_EQ(stream_hash(net->drain_records()), direct_hash);
+  EXPECT_EQ(stream_hash(records), direct_hash);
 }
 
 TEST(CompositeWorkloadTest, AttributesTenantsAndRespectsWindows) {
   const Scenario s = mixed_scenario();
   auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
   auto w = build_workload(s, net->topology());
   const ScenarioRunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
 
-  const auto records = net->drain_records();
   ASSERT_FALSE(records.empty());
   std::uint64_t dnn_count = 0, bg_count = 0;
   for (const noc::PacketRecord& rec : records) {
@@ -310,10 +315,11 @@ TEST(CompositeWorkloadTest, PlacementRemapsTraceEndpoints) {
   s.tenants.push_back(std::move(ten));
 
   auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
   auto w = build_workload(s, net->topology());
   const ScenarioRunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
-  const auto records = net->drain_records();
   ASSERT_EQ(records.size(), 3u);
   // Local (0->3, 3->1, 1->2) under placement {15,14,11,10}.
   EXPECT_EQ(records[0].src, 15);
@@ -339,12 +345,71 @@ TEST(CompositeWorkloadTest, WindowShiftsTraceReleaseTimes) {
   ten.start = 500.0;
   s.tenants.push_back(std::move(ten));
   auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
   auto w = build_workload(s, net->topology());
   const ScenarioRunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
-  const auto records = net->drain_records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_DOUBLE_EQ(records[0].inject_time, 510.0);
+}
+
+// Deliveries are routed to tenants by the packet's tenant tag. Under link
+// faults with a one-retry budget, corrupted deliveries never reach the
+// composite and some packets are lost for good; each tenant's delivered
+// count must still equal the network's per-tenant received count.
+TEST(CompositeWorkloadTest, DeliveredMatchesReceivedUnderRetriesAndLosses) {
+  Scenario s = mixed_scenario(7);
+  s.faults.seed = 3;
+  s.faults.link_fault_rate = 0.02;
+  s.faults.retry_timeout = 16;
+  s.faults.retry_budget = 1;
+  auto net = build_network(s);
+  auto w = build_workload(s, net->topology());
+  net->set_tenant_tracking(w->num_tenants());
+
+  std::vector<std::uint64_t> received(2, 0);
+  std::uint64_t retries = 0, lost = 0;
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    const noc::EpochStats st = net->run_epoch(w.get(), 500);
+    ASSERT_EQ(st.tenants.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t) {
+      received[t] += st.tenants[t].packets_received;
+      retries += st.tenants[t].retries;
+      lost += st.tenants[t].packets_lost;
+    }
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(lost, 0u);
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_GT(received[static_cast<std::size_t>(t)], 0u) << "tenant " << t;
+    EXPECT_EQ(w->delivered(t), received[static_cast<std::size_t>(t)])
+        << "tenant " << t;
+  }
+}
+
+// Packets injected before the composite drove the network (a warm-up by
+// another injector, tagged tenant 0) are not the composite's deliveries.
+TEST(CompositeWorkloadTest, IgnoresDeliveriesInjectedBeforeIt) {
+  const Scenario s = mixed_scenario();
+  auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
+  noc::SteadyWorkload warmup =
+      noc::SteadyWorkload::make(net->topology(), "uniform", 0.2);
+  for (int i = 0; i < 200; ++i) net->step(&warmup);
+  const std::uint64_t first_own_id = net->total_packets_offered() + 1;
+  ASSERT_GT(net->total_packets_offered(), net->total_packets_received())
+      << "warm-up packets must still be in flight";
+
+  auto w = build_workload(s, net->topology());
+  for (int i = 0; i < 4000; ++i) net->step(w.get());
+  std::uint64_t own = 0, warmup_delivered = 0;
+  for (const noc::PacketRecord& rec : records) {
+    ++(rec.packet_id >= first_own_id ? own : warmup_delivered);
+  }
+  EXPECT_GT(warmup_delivered, 0u);
+  EXPECT_EQ(w->delivered(0) + w->delivered(1), own);
 }
 
 TEST(CompositeWorkloadTest, TenantOrderBreaksSameTickTies) {
@@ -443,9 +508,11 @@ TEST(InjectorHooks, OrderedAcrossReconfigurationEvents) {
 std::uint64_t scenario_run_hash(std::uint64_t seed) {
   Scenario s = mixed_scenario(seed);
   auto net = build_network(s);
+  std::vector<noc::PacketRecord> records;
+  net->set_record_sink(&records);
   auto w = build_workload(s, net->topology());
   const ScenarioRunResult r = run_scenario(*net, *w);
-  std::uint64_t h = stream_hash(net->drain_records());
+  std::uint64_t h = stream_hash(records);
   // Fold in the per-tenant accounting so attribution is pinned too.
   h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);
   h ^= 0xc2b2ae3d27d4eb4fULL * (r.stats.tenants[1].packets_received + 1);

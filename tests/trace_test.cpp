@@ -199,8 +199,10 @@ std::vector<noc::PacketRecord> replay_records(const noc::NetworkParams& p,
                                               TraceWorkload& w,
                                               std::uint64_t limit = 200000) {
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   run_trace_replay(net, w, limit);
-  return net.drain_records();
+  return records;
 }
 
 TEST(TraceWorkloadTest, TimedReplayHitsExactTicks) {
@@ -215,7 +217,7 @@ TEST(TraceWorkloadTest, TimedReplayHitsExactTicks) {
   TraceWorkload w(t);
   const auto records = replay_records(p, w);
   ASSERT_EQ(records.size(), 3u);
-  // drain_records is in completion order; key by packet id (== trace order
+  // The record sink sees completion order; key by packet id (== trace order
   // here because ids are assigned in injection order).
   double inject_of[4] = {};
   for (const auto& r : records) {
@@ -297,9 +299,10 @@ TEST(TraceWorkloadTest, DependentNeverInjectsBeforeDelivery) {
   p.width = p.height = 4;
   TraceWorkload w(t);
   noc::Network net(p);
+  std::vector<noc::PacketRecord> records;
+  net.set_record_sink(&records);
   const auto result = run_trace_replay(net, w, 200000);
   EXPECT_TRUE(result.completed);
-  const auto records = net.drain_records();
   ASSERT_EQ(records.size(), 3u);
   const noc::PacketRecord* by_id[4] = {};
   for (const auto& r : records) by_id[r.packet_id] = &r;
@@ -325,8 +328,10 @@ TEST(TraceWorkloadTest, CongestionShiftsDependentInjection) {
     p.initial_config = config;
     TraceWorkload w(t);
     noc::Network net(p);
+    std::vector<noc::PacketRecord> records;
+    net.set_record_sink(&records);
     EXPECT_TRUE(run_trace_replay(net, w, 400000).completed);
-    for (const auto& r : net.drain_records()) {
+    for (const auto& r : records) {
       if (r.packet_id == 2) return r.inject_time;
     }
     return -1.0;
@@ -391,13 +396,14 @@ TEST(TraceRecorderTest, RecordReplayIsBitExact) {
 
   // Original run: synthetic traffic, run + drain so the capture is complete.
   noc::Network original(p);
+  std::vector<noc::PacketRecord> original_records;
+  original.set_record_sink(&original_records);
   noc::SteadyWorkload synth =
       noc::SteadyWorkload::make(original.topology(), "uniform", 0.10);
   for (int i = 0; i < 1200; ++i) original.step(&synth);
   for (int i = 0; i < 50000 && !original.drained(); ++i)
     original.step(nullptr);
   ASSERT_TRUE(original.drained());
-  const auto original_records = original.drain_records();
   ASSERT_GT(original_records.size(), 100u);
 
   TraceRecorder recorder(original.num_nodes());
@@ -411,13 +417,54 @@ TEST(TraceRecorderTest, RecordReplayIsBitExact) {
   TraceWriter::write_binary(ss, capture);
   TraceWorkload w(TraceReader::read_binary(ss));
   noc::Network replayed(p);
+  std::vector<noc::PacketRecord> replayed_records;
+  replayed.set_record_sink(&replayed_records);
   const auto result = run_trace_replay(replayed, w, 500000);
   EXPECT_TRUE(result.completed);
 
   // The delivered-packet stream — ids, endpoints, lengths, per-packet
   // timestamps, hop counts — must be identical bit for bit.
-  EXPECT_EQ(stream_hash(replayed.drain_records()),
-            stream_hash(original_records));
+  EXPECT_EQ(stream_hash(replayed_records), stream_hash(original_records));
+}
+
+TEST(TraceRecorderTest, AttachCapturesEveryDelivery) {
+  // attach() makes the recorder the network's record sink: its capture must
+  // equal a trace built from a plain sink on an identical run.
+  noc::NetworkParams p;
+  p.width = p.height = 4;
+  p.seed = 9;
+  const auto run = [&](noc::Network& net) {
+    noc::SteadyWorkload synth =
+        noc::SteadyWorkload::make(net.topology(), "hotspot", 0.08);
+    for (int i = 0; i < 800; ++i) net.step(&synth);
+    for (int i = 0; i < 50000 && !net.drained(); ++i) net.step(nullptr);
+    ASSERT_TRUE(net.drained());
+  };
+
+  noc::Network attached(p);
+  TraceRecorder recorder(attached.num_nodes());
+  recorder.attach(attached);
+  run(attached);
+  EXPECT_EQ(recorder.captured(), attached.total_packets_received());
+
+  noc::Network plain(p);
+  std::vector<noc::PacketRecord> records;
+  plain.set_record_sink(&records);
+  run(plain);
+  TraceRecorder manual(plain.num_nodes());
+  for (const auto& rec : records) manual.add(rec);
+
+  const Trace got = recorder.build();
+  const Trace want = manual.build();
+  ASSERT_GT(got.records.size(), 50u);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].id, want.records[i].id);
+    EXPECT_EQ(got.records[i].src, want.records[i].src);
+    EXPECT_EQ(got.records[i].dst, want.records[i].dst);
+    EXPECT_EQ(got.records[i].time, want.records[i].time);
+    EXPECT_EQ(got.records[i].length, want.records[i].length);
+  }
 }
 
 TEST(TraceWorkloadTest, ReplayIsDeterministic) {
@@ -427,8 +474,10 @@ TEST(TraceWorkloadTest, ReplayIsDeterministic) {
   const auto run = [&] {
     TraceWorkload w(dnn);
     noc::Network net(p);
+    std::vector<noc::PacketRecord> records;
+    net.set_record_sink(&records);
     run_trace_replay(net, w, 500000);
-    return stream_hash(net.drain_records());
+    return stream_hash(records);
   };
   EXPECT_EQ(run(), run());
 }

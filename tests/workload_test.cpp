@@ -144,11 +144,13 @@ TEST(PhasedWorkload, PerPhaseFlitsPerPacketOverride) {
   p.width = p.height = 4;
   p.flits_per_packet = 4;
   Network net(p);
+  std::vector<PacketRecord> records;
+  net.set_record_sink(&records);
   PhasedWorkload driver(net.topology(), {control, data, defaulted});
   for (int i = 0; i < 700; ++i) net.step(&driver);
   while (!net.drained()) net.step(nullptr);
   int seen[10] = {};
-  for (const PacketRecord& rec : net.drain_records()) {
+  for (const PacketRecord& rec : records) {
     ASSERT_LT(rec.length, 10);
     ++seen[rec.length];
     const std::size_t phase = driver.phase_index(rec.inject_time);
