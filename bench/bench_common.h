@@ -17,6 +17,8 @@
 #include "obs/session.h"
 #include "rl/dqn.h"
 #include "scenario/runtime.h"
+#include "scenario/scenario.h"
+#include "trace/generators.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -42,6 +44,37 @@ inline std::unique_ptr<rl::DqnAgent> clone_policy(const rl::DqnAgent& agent,
                                              agent.params());
   copy->load_weights(weights);
   return copy;
+}
+
+/// Controller factory serving `agent` (trained on `trained_on`), which must
+/// outlive the factory: each evaluation task gets its own clone_policy copy.
+inline core::ControllerFactory drl_factory(
+    const rl::DqnAgent& agent, const core::NocConfigEnv& trained_on) {
+  const std::size_t state_size = trained_on.state_size();
+  const int num_actions = trained_on.num_actions();
+  return [&agent, state_size, num_actions](const core::NocConfigEnv& e)
+      -> std::unique_ptr<core::Controller> {
+    return std::make_unique<core::OwningDrlController>(
+        e.actions(), clone_policy(agent, state_size, num_actions));
+  };
+}
+
+/// Controller factory for a non-learning baseline: "heuristic" (sized for
+/// `num_nodes` routers), "static-max" or "static-min".
+inline core::ControllerFactory baseline_factory(const std::string& name,
+                                                int num_nodes) {
+  return [name, num_nodes](const core::NocConfigEnv& e)
+      -> std::unique_ptr<core::Controller> {
+    if (name == "static-max") {
+      return core::StaticController::maximal(e.actions());
+    }
+    if (name == "static-min") {
+      return core::StaticController::minimal(e.actions());
+    }
+    core::HeuristicParams hp;
+    hp.num_nodes = num_nodes;
+    return std::make_unique<core::HeuristicController>(e.actions(), hp);
+  };
 }
 
 /// Trains a fresh agent (rl::standard_dqn) on `env` and returns it.
@@ -88,6 +121,85 @@ inline bool maybe_traced_run(const util::Config& cfg,
                     : duration_cap;
   scenario::run_scenario(*net, *workload, rp);
   return session.finish();
+}
+
+/// The T5/T6 interference scenario: a looping DNN-pipeline trace tenant
+/// ("dnn", 16 endpoints on nodes 0-15) plus fabric-wide uniform background
+/// traffic. `p95_target > 0` adds T6's QoS annotations: dnn becomes
+/// latency-critical with that target and the background tenant background.
+struct DnnBackgroundParams {
+  std::string name;
+  int size = 8;
+  int batches = 4;          ///< DNN pipeline batches
+  double rate_scale = 1.0;  ///< dnn trace replay speed
+  double bg_rate = 0.05;
+  double p95_target = 0.0;  ///< > 0 annotates the tenants for QoS
+};
+
+inline std::shared_ptr<scenario::Scenario> dnn_background_scenario(
+    const DnnBackgroundParams& p) {
+  const bool qos = p.p95_target > 0.0;
+  auto s = std::make_shared<scenario::Scenario>();
+  s->name = p.name;
+  s->net.width = s->net.height = p.size;
+  s->net.seed = 42;
+
+  scenario::TenantSpec dnn;
+  dnn.name = "dnn";
+  dnn.kind = scenario::WorkloadKind::kTrace;
+  trace::DnnPipelineParams dp;
+  dp.nodes = 16;
+  dp.batches = p.batches;
+  dnn.trace =
+      std::make_shared<const trace::Trace>(trace::generate_dnn_pipeline(dp));
+  dnn.rate_scale = p.rate_scale;
+  dnn.loop = true;  // RL episodes of any length stay fed
+  dnn.nodes = scenario::parse_node_set("0-15", p.size * p.size);
+  if (qos) {
+    dnn.qos = scenario::QosClass::kLatencyCritical;
+    dnn.p95_target = p.p95_target;
+  }
+  s->tenants.push_back(std::move(dnn));
+
+  scenario::TenantSpec bg;
+  bg.name = "background";
+  bg.kind = scenario::WorkloadKind::kSteady;
+  bg.pattern = "uniform";
+  bg.rate = p.bg_rate;
+  if (qos) bg.qos = scenario::QosClass::kBackground;
+  s->tenants.push_back(std::move(bg));
+  // Horizon for standalone (scenarioctl-style) runs; RL episodes are
+  // bounded by epochs_per_episode instead.
+  s->duration = 1e6;
+  return s;
+}
+
+/// Per-tenant mean + 95% CI over the replicas of one controller.
+struct TenantCi {
+  core::MetricSummary latency;
+  core::MetricSummary p95;
+  core::MetricSummary throughput;
+  core::MetricSummary slo_hit_rate;
+};
+
+inline std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
+                                        std::size_t num_tenants) {
+  std::vector<TenantCi> out(num_tenants);
+  for (std::size_t t = 0; t < num_tenants; ++t) {
+    std::vector<double> lat, p95, thru, slo;
+    for (const core::Replica& r : rep.replicas) {
+      const core::TenantEpisodeSummary& s = r.result.tenants[t];
+      lat.push_back(s.mean_latency);
+      p95.push_back(s.p95_latency);
+      thru.push_back(s.accepted_rate);
+      slo.push_back(s.slo_hit_rate);
+    }
+    out[t].latency = core::summarize_metric(lat);
+    out[t].p95 = core::summarize_metric(p95);
+    out[t].throughput = core::summarize_metric(thru);
+    out[t].slo_hit_rate = core::summarize_metric(slo);
+  }
+  return out;
 }
 
 /// Appends one controller-comparison row.

@@ -11,12 +11,16 @@
 
 #include "bench_common.h"
 #include "noc/simulator.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig1_load_latency [size=N] [episodes=N] [jobs=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const int episodes = cfg.get("episodes", 60);
   const core::ExperimentRunner runner = bench::runner_from(cfg);
@@ -148,4 +152,10 @@ int main(int argc, char** argv) {
                "static-max latency at lower power; static-min collapses "
                "first.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

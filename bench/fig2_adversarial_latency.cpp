@@ -5,12 +5,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig2_adversarial_latency [episodes=N] [size=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 120);
   const int size = cfg.get("size", 4);
 
@@ -72,4 +76,10 @@ int main(int argc, char** argv) {
                "heuristic lags on power or latency; static-min saturates "
                "first.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

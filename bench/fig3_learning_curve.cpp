@@ -5,12 +5,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig3_learning_curve [episodes=N] [size=N] [jobs=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
 
   core::NocEnvParams ep;
@@ -75,4 +79,10 @@ int main(int argc, char** argv) {
             << "\nshape check: curve rises and plateaus; final DRL beats "
                "static-max and approaches/beats oracle-static.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

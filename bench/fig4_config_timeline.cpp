@@ -6,12 +6,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig4_config_timeline [episodes=N] [size=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
 
   core::NocEnvParams ep;
@@ -67,4 +71,10 @@ int main(int argc, char** argv) {
                  "capability; no persistent backlog.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

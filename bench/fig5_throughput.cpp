@@ -4,14 +4,18 @@
 #include <iostream>
 
 #include "noc/simulator.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fig5_throughput [size=N] [step=R] [max_rate=R] [jobs=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const double step = cfg.get("step", 0.04);
   const double max_rate = cfg.get("max_rate", 0.44);
@@ -57,4 +61,10 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: accepted tracks offered until the knee, then "
                "plateaus; torus knee is to the right of mesh.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

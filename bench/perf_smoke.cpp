@@ -30,7 +30,7 @@
 #include "scenario/runtime.h"
 #include "scenario/scenario.h"
 #include "trace/generators.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -183,13 +183,11 @@ double bench_dqn_learn(std::uint64_t iters, int repeats) {
   });
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: perf_smoke [scale=S] [repeats=N] [baseline=FILE.json]\n"
+    "         [out=FILE.json] [log=L]\n";
 
-int main(int argc, char** argv) {
-  // from_args skips argv[0] itself (program-name slot); passing argv + 1
-  // here used to silently drop the *first* key=value argument.
-  const drlnoc::util::Config cfg = drlnoc::util::Config::from_args(argc, argv);
-  drlnoc::util::init_log(cfg.get("log", std::string()));
+int run(const drlnoc::util::Config& cfg) {
   const double scale = cfg.get("scale", 1.0);
   const int repeats = cfg.get("repeats", 3);
   const auto n = [&](double base) {
@@ -241,4 +239,10 @@ int main(int argc, char** argv) {
     drlnoc::bench::write_metrics_json(out, "perf_smoke", metrics, baseline);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return drlnoc::util::run_main(argc, argv, kUsage, run);
 }

@@ -7,12 +7,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: table1_power_savings [episodes=N] [size=N] [rate=R] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
   const int size = cfg.get("size", 4);
   const double rate = cfg.get("rate", 0.06);
@@ -77,4 +81,10 @@ int main(int argc, char** argv) {
                "tolerates a bounded latency increase in exchange); "
                "static-min latency penalty >> 1x.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

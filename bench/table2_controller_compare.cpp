@@ -8,12 +8,17 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: table2_controller_compare [episodes=N] [size=N] [replicas=N]\n"
+    "         [jobs=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 150);
   const int size = cfg.get("size", 4);
   const int replicas = cfg.get("replicas", 8);
@@ -63,25 +68,14 @@ int main(int argc, char** argv) {
   // (base_seed + replica index); the engine runs replicas concurrently.
   std::cout << "replication over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
 
   const auto drl_rep = core::evaluate_many(
-      rep,
-      [&](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        auto policy = bench::clone_policy(*agent, state_size, num_actions);
-        return std::make_unique<core::OwningDrlController>(e.actions(),
-                                                           std::move(policy));
-      },
-      replicas, runner);
+      rep, bench::drl_factory(*agent, env), replicas, runner);
   const auto max_rep = core::evaluate_many(
-      rep,
-      [](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        return core::StaticController::maximal(e.actions());
-      },
-      replicas, runner);
+      rep, bench::baseline_factory("static-max", size * size), replicas,
+      runner);
 
   util::Table r({"controller", "reward", "ci95", "latency", "ci95",
                  "power_mW", "ci95"});
@@ -102,4 +96,10 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: DRL's reward advantage over static-max "
                "exceeds the CIs, so T2 is not a single-seed artifact.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

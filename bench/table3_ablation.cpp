@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 #include "rl/qtable.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
@@ -50,10 +50,10 @@ void train_qtable(core::NocConfigEnv& env, rl::QTableAgent& agent,
   }
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: table3_ablation [episodes=N] [size=N] [log=L]\n";
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int episodes = cfg.get("episodes", 120);
   const int size = cfg.get("size", 4);
 
@@ -126,4 +126,10 @@ int main(int argc, char** argv) {
                "tabular; higher power weight lowers power at some latency "
                "cost.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -21,7 +21,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
@@ -33,23 +33,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: table4_scalability [--smoke] [rows=SUBSTR] [episodes_4=N]\n"
+    "         [episodes_8=N] [episodes_16=N] [episodes_32=N] [episodes_t=N]\n"
+    "         [episodes_r=N] [sweep_size=N] [sweep_epochs=N] [jobs=N]\n"
+    "         [out=FILE.json] [log=L]\n";
 
-int main(int argc, char** argv) {
-  // `--smoke` is a bare flag; strip it before the key=value parser.
-  bool smoke = false;
-  std::vector<const char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-  smoke = cfg.get("smoke", smoke);
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const std::string rows_filter = cfg.get("rows", std::string());
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
@@ -193,4 +184,10 @@ int main(int argc, char** argv) {
                "value; speedup approaches the worker count on idle "
                "machines.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

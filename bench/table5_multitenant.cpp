@@ -18,58 +18,20 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
 
 namespace {
 
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
+constexpr const char* kUsage =
+    "usage: table5_multitenant [--smoke] [size=N] [episodes=N] [replicas=N]\n"
+    "         [bg_rate=R] [rate_scale=S] [jobs=N] [out=FILE.json]\n"
+    "         [--trace-out=F] [--metrics-out=F] [--trace-sample=P] [log=L]\n";
 
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].latency = core::summarize_metric(lat);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
@@ -78,34 +40,12 @@ int main(int argc, char** argv) {
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: a 16-endpoint DNN pipeline + fabric-wide background ---
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "dnn_plus_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.rate_scale = rate_scale;
-    dnn.loop = true;  // RL episodes of any length stay fed
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = bg_rate;
-    s->tenants.push_back(std::move(bg));
-  }
-  // Horizon for standalone (scenarioctl-style) runs; RL episodes are
-  // bounded by epochs_per_episode instead.
-  s->duration = 1e6;
+  const auto s = bench::dnn_background_scenario(
+      {.name = "dnn_plus_background",
+       .size = size,
+       .batches = smoke ? 2 : 4,
+       .rate_scale = rate_scale,
+       .bg_rate = bg_rate});
 
   core::NocEnvParams ep;
   ep.scenario = s;
@@ -123,8 +63,6 @@ int main(int argc, char** argv) {
   auto agent = bench::train_agent(env, episodes);
 
   // --- replication: frozen policies vs statics across traffic seeds -------
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
 
@@ -134,46 +72,13 @@ int main(int argc, char** argv) {
   };
   std::vector<Entry> entries;
   entries.push_back(
-      {"drl", core::evaluate_many(
-                  rep,
-                  [&](const core::NocConfigEnv& e)
-                      -> std::unique_ptr<core::Controller> {
-                    auto policy =
-                        bench::clone_policy(*agent, state_size, num_actions);
-                    return std::make_unique<core::OwningDrlController>(
-                        e.actions(), std::move(policy));
-                  },
-                  replicas, runner)});
-  entries.push_back(
-      {"heuristic",
-       core::evaluate_many(
-           rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             core::HeuristicParams hp;
-             hp.num_nodes = size * size;
-             return std::make_unique<core::HeuristicController>(e.actions(),
-                                                                hp);
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+      {"drl", core::evaluate_many(rep, bench::drl_factory(*agent, env),
+                                  replicas, runner)});
+  for (const char* name : {"heuristic", "static-max", "static-min"}) {
+    const auto factory = bench::baseline_factory(name, size * size);
+    entries.push_back(
+        {name, core::evaluate_many(rep, factory, replicas, runner)});
+  }
 
   const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
@@ -182,7 +87,7 @@ int main(int argc, char** argv) {
                    "thru(pkt/node/cyc)", "ci95", "reward"});
   std::vector<std::pair<std::string, double>> metrics;
   for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
+    const auto cis = bench::tenant_cis(e.rep, num_tenants);
     for (std::size_t t = 0; t < num_tenants; ++t) {
       tab.row()
           .cell(e.name)
@@ -225,4 +130,10 @@ int main(int argc, char** argv) {
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
   return bench::maybe_traced_run(cfg, *s) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -22,61 +22,21 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
 
 namespace {
 
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-  core::MetricSummary slo_hit_rate;
-};
+constexpr const char* kUsage =
+    "usage: table6_qos [--smoke] [size=N] [episodes=N] [round=N] [actors=N]\n"
+    "         [replicas=N] [bg_rate=R] [rate_scale=S] [p95_target=T] [jobs=N]\n"
+    "         [save_policy=FILE] [out=FILE.json] [--trace-out=F]\n"
+    "         [--metrics-out=F] [--trace-sample=P] [log=L]\n";
 
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru, slo;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-      slo.push_back(s.slo_hit_rate);
-    }
-    out[t].latency = core::summarize_metric(lat);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-    out[t].slo_hit_rate = core::summarize_metric(slo);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
   // `round` is semantic (part of the experiment definition), `actors` is
@@ -91,35 +51,13 @@ int main(int argc, char** argv) {
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: latency-critical DNN pipeline + background sweep ------
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "qos_dnn_vs_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.rate_scale = rate_scale;
-    dnn.loop = true;  // RL episodes of any length stay fed
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    dnn.qos = scenario::QosClass::kLatencyCritical;
-    dnn.p95_target = p95_target;
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = bg_rate;
-    bg.qos = scenario::QosClass::kBackground;
-    s->tenants.push_back(std::move(bg));
-  }
-  s->duration = 1e6;  // horizon for standalone runs; episodes bound RL use
+  const auto s = bench::dnn_background_scenario(
+      {.name = "qos_dnn_vs_background",
+       .size = size,
+       .batches = smoke ? 2 : 4,
+       .rate_scale = rate_scale,
+       .bg_rate = bg_rate,
+       .p95_target = p95_target});
 
   // Two training environments over one scenario: the QoS objective (SLO
   // penalty + background energy credit + per-tenant features) and the
@@ -176,49 +114,18 @@ int main(int argc, char** argv) {
   };
   std::vector<Entry> entries;
   entries.push_back(
-      {"drl-qos",
-       core::evaluate_many(
-           qos_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*qos_agent,
-                                               qos_env.state_size(),
-                                               qos_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
-           },
-           replicas, runner)});
+      {"drl-qos", core::evaluate_many(qos_rep,
+                                      bench::drl_factory(*qos_agent, qos_env),
+                                      replicas, runner)});
   entries.push_back(
       {"drl-aggregate",
-       core::evaluate_many(
-           agg_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*agg_agent,
-                                               agg_env.state_size(),
-                                               agg_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+       core::evaluate_many(agg_rep, bench::drl_factory(*agg_agent, agg_env),
+                           replicas, runner)});
+  for (const char* name : {"static-max", "static-min"}) {
+    const auto factory = bench::baseline_factory(name, size * size);
+    entries.push_back(
+        {name, core::evaluate_many(qos_rep, factory, replicas, runner)});
+  }
 
   const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
@@ -227,7 +134,7 @@ int main(int argc, char** argv) {
                    "latency", "thru(pkt/node/cyc)", "power_mW"});
   std::vector<std::pair<std::string, double>> metrics;
   for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
+    const auto cis = bench::tenant_cis(e.rep, num_tenants);
     for (std::size_t t = 0; t < num_tenants; ++t) {
       const bool critical = s->tenants[t].p95_target > 0.0;
       tab.row()
@@ -275,4 +182,10 @@ int main(int argc, char** argv) {
   // Optional observability pass (after the measured comparisons, so every
   // table cell above is observer-free).
   return bench::maybe_traced_run(cfg, *s) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

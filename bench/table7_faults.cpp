@@ -26,7 +26,7 @@
 #include "bench_json.h"
 #include "noc/faults.h"
 #include "scenario/scenario.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
@@ -75,32 +75,7 @@ std::vector<FaultLevel> fault_levels(int size, double low, double high) {
   return levels;
 }
 
-/// Per-tenant mean + 95% CI over the replicas of one (controller, level)
-/// cell, plus the fabric-level fault accounting averaged per replica.
-struct CellCi {
-  core::MetricSummary slo_hit_rate;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
-
-std::vector<CellCi> tenant_cis(const core::ReplicationResult& rep,
-                               std::size_t num_tenants) {
-  std::vector<CellCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> slo, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      slo.push_back(s.slo_hit_rate);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].slo_hit_rate = core::summarize_metric(slo);
-    out[t].p95 = core::summarize_metric(p95);
-    out[t].throughput = core::summarize_metric(thru);
-  }
-  return out;
-}
-
+/// Fabric-level fault accounting of one (controller, level) cell.
 struct FaultTotals {
   double retries = 0.0;        ///< mean per replica
   double packets_lost = 0.0;   ///< mean per replica
@@ -122,24 +97,14 @@ FaultTotals fault_totals(const core::ReplicationResult& rep) {
   return ft;
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: table7_faults [--smoke] [size=N] [episodes=N] [replicas=N]\n"
+    "         [critical_rate=R] [bg_rate=R] [p95_target=T] [fault_rate_low=P]\n"
+    "         [fault_rate_high=P] [jobs=N] [out=FILE.json] [--trace-out=F]\n"
+    "         [--metrics-out=F] [--trace-sample=P] [log=L]\n";
 
-int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 60);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
@@ -204,7 +169,7 @@ int main(int argc, char** argv) {
   struct Cell {
     std::string controller;
     std::string level;
-    std::vector<CellCi> tenants;
+    std::vector<bench::TenantCi> tenants;
     FaultTotals faults;
     double power_mw = 0.0;
   };
@@ -222,34 +187,15 @@ int main(int argc, char** argv) {
     rep_ep.reward.power_ref_mw = env.power_ref_mw();
 
     for (const std::string& name : controllers) {
-      core::ControllerFactory factory;
-      if (name == "drl") {
-        factory = [&](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          auto policy = bench::clone_policy(*agent, env.state_size(),
-                                            env.num_actions());
-          return std::make_unique<core::OwningDrlController>(
-              e.actions(), std::move(policy));
-        };
-      } else if (name == "heuristic") {
-        factory = [size](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          core::HeuristicParams hp;
-          hp.num_nodes = size * size;
-          return std::make_unique<core::HeuristicController>(e.actions(), hp);
-        };
-      } else {
-        factory = [](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          return core::StaticController::maximal(e.actions());
-        };
-      }
+      const core::ControllerFactory factory =
+          name == "drl" ? bench::drl_factory(*agent, env)
+                        : bench::baseline_factory(name, size * size);
       const core::ReplicationResult rep =
           core::evaluate_many(rep_ep, factory, replicas, runner);
       Cell cell;
       cell.controller = name;
       cell.level = level.name;
-      cell.tenants = tenant_cis(rep, s->tenants.size());
+      cell.tenants = bench::tenant_cis(rep, s->tenants.size());
       cell.faults = fault_totals(rep);
       cell.power_mw = rep.power_mw.mean;
       cells.push_back(std::move(cell));
@@ -343,4 +289,10 @@ int main(int argc, char** argv) {
   scenario::Scenario traced = *s;
   traced.faults = levels.back().faults;
   return bench::maybe_traced_run(cfg, traced) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

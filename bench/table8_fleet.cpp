@@ -29,7 +29,7 @@
 #include "fleet/fleet.h"
 #include "fleet/scenario_space.h"
 #include "fleet/scorecard.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
@@ -97,24 +97,13 @@ void write_file(const std::string& path, const std::string& text) {
   os << text;
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: table8_fleet [--smoke] [size=N] [episodes=N] [epochs=N]\n"
+    "         [epoch_cycles=N] [workdir=DIR] [jobs=N] [out=FILE.json]\n"
+    "         [log=L]\n";
 
-int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 40);
   const int epochs = cfg.get("epochs", smoke ? 4 : 24);
@@ -232,4 +221,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -26,7 +26,7 @@
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -86,10 +86,11 @@ double bench_replay_cycles(const noc::NetworkParams& net_params,
   return best;
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: trace_replay [size=N] [scale=S] [repeats=N] [jobs=N]\n"
+    "         [baseline=FILE.json] [out=FILE.json] [log=L]\n";
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 8);
   const double scale = cfg.get("scale", 1.0);  // work scale for the metrics
   const int repeats = cfg.get("repeats", 3);
@@ -205,4 +206,10 @@ int main(int argc, char** argv) {
     bench::write_metrics_json(out, "trace_replay", metrics, baseline);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

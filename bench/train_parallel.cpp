@@ -15,7 +15,6 @@
 // bit-identity is pinned by tests/train_parallel_test.cpp. Timings are
 // machine-dependent: refresh on an idle machine, best of `repeats` runs.
 #include <chrono>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -26,9 +25,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 
 using namespace drlnoc;
@@ -55,26 +52,8 @@ double best_seconds(int repeats, Fn&& fn) {
   return best;
 }
 
-int run(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--help" || tok == "-h") {
-      std::cout << kUsage;
-      return 0;
-    }
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
-  util::init_log(cfg.get("log", std::string()));
-
+int run(const util::Config& cfg) {
+  const bool smoke = cfg.get("smoke", false);
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 4 : 16);
   const int round = cfg.get("round", 8);
@@ -83,34 +62,11 @@ int run(int argc, char** argv) {
 
   // The T6 scenario (table6_qos.cpp): latency-critical DNN pipeline over a
   // background sweep — the training workload being timed.
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "qos_dnn_vs_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec dnn;
-    dnn.name = "dnn";
-    dnn.kind = scenario::WorkloadKind::kTrace;
-    trace::DnnPipelineParams dp;
-    dp.nodes = 16;
-    dp.batches = smoke ? 2 : 4;
-    dnn.trace = std::make_shared<const trace::Trace>(
-        trace::generate_dnn_pipeline(dp));
-    dnn.loop = true;
-    dnn.nodes = scenario::parse_node_set("0-15", size * size);
-    dnn.qos = scenario::QosClass::kLatencyCritical;
-    dnn.p95_target = smoke ? 200.0 : 300.0;
-    s->tenants.push_back(std::move(dnn));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = 0.05;
-    bg.qos = scenario::QosClass::kBackground;
-    s->tenants.push_back(std::move(bg));
-  }
-  s->duration = 1e6;
+  const auto s = bench::dnn_background_scenario(
+      {.name = "qos_dnn_vs_background",
+       .size = size,
+       .batches = smoke ? 2 : 4,
+       .p95_target = smoke ? 200.0 : 300.0});
 
   core::NocEnvParams ep;
   ep.scenario = s;
@@ -177,10 +133,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "train_parallel: " << e.what() << "\n" << kUsage;
-    return 2;
-  }
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -7,7 +7,7 @@
 #include "core/controller.h"
 #include "core/env_noc.h"
 #include "core/trainer.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace drlnoc;
@@ -49,11 +49,10 @@ class SloController : public core::Controller {
   int action_ = 0;
 };
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: custom_controller [size=N] [p95_budget=T] [log=L]\n";
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
-
+int run(const util::Config& cfg) {
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = cfg.get("size", 4);
   ep.net.seed = 11;
@@ -86,4 +85,10 @@ int main(int argc, char** argv) {
   std::cout << "\nWriting a controller = subclass core::Controller and "
                "override decide(); evaluate() handles the rest.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -9,13 +9,17 @@
 #include "core/env_noc.h"
 #include "core/trainer.h"
 #include "rl/dqn.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
+
+constexpr const char* kUsage =
+    "usage: phased_workload [episodes=N] [size=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   const int size = cfg.get("size", 4);
   const int episodes = cfg.get("episodes", 120);
 
@@ -95,4 +99,10 @@ int main(int argc, char** argv) {
             << "A well-trained controller provisions less in the idle "
                "regime than in the heavy one.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

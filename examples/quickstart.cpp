@@ -9,13 +9,16 @@
 #include "core/env_noc.h"
 #include "core/trainer.h"
 #include "noc/simulator.h"
-#include "util/config.h"
+#include "util/cli.h"
 
 using namespace drlnoc;
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
+namespace {
 
+constexpr const char* kUsage =
+    "usage: quickstart [episodes=N] [size=N] [log=L]\n";
+
+int run(const util::Config& cfg) {
   // --- 1. plain simulation -------------------------------------------------
   noc::NetworkParams np;
   np.topology = "mesh";
@@ -70,4 +73,10 @@ int main(int argc, char** argv) {
             << " power=" << max_result.mean_power_mw
             << "mW reward=" << max_result.total_reward << '\n';
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

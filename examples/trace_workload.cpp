@@ -15,6 +15,7 @@
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace drlnoc;
@@ -31,9 +32,11 @@ trace::TraceReplayResult replay(const noc::NetworkParams& p,
   return trace::run_trace_replay(net, w, 2000000);
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: trace_workload [log=L]\n"
+    "Writes example_capture.drltrb to the working directory.\n";
 
-int main() {
+int run(const util::Config&) {
   // 1. Generate a task graph: a 4-stage DNN pipeline on a 4x4 mesh.
   trace::DnnPipelineParams dp;
   dp.nodes = 16;
@@ -107,4 +110,10 @@ int main() {
                "   ./build/tools/tracectl info file=example_capture.drltrb "
                "show=5\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

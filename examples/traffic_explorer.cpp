@@ -25,7 +25,7 @@
 #include "scenario/scenario_io.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -185,11 +185,15 @@ int explore_phased(const noc::NetworkParams& p, const std::string& arg,
   return 0;
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: traffic_explorer [topology=T] [size=N] [rate=R] [seed=S]\n"
+    "         [routing=R] [jobs=N] [--workload trace=F|scenario=F|phased[=S]]\n"
+    "         [scale=S] [cycle_limit=N] [fault_rate=P] [fault_seed=S]\n"
+    "         [fault_timeout=N] [fault_backoff=B] [fault_budget=N]\n"
+    "         [fault_link=NODE:PORT,...] [--trace-out=F] [--metrics-out=F]\n"
+    "         [--trace-sample=P] [log=L]\n";
 
-int main(int argc, char** argv) {
-  const util::Config cfg = util::Config::from_args(argc, argv);
-  util::init_log(cfg.get("log", std::string()));
+int run(const util::Config& cfg) {
   const std::string topology = cfg.get("topology", std::string("mesh"));
   const int size = cfg.get("size", 8);
   const double rate = cfg.get("rate", 0.05);
@@ -299,4 +303,10 @@ int main(int argc, char** argv) {
   std::cout << "\nlocal patterns (neighbor) ride cheap; adversarial ones "
                "(transpose/tornado) pay in hops and saturate earlier.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, kUsage, run);
 }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/cli.h"
 #include "util/config.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -336,6 +340,98 @@ TEST(Config, RejectsEmptyAndSignOnlyValues) {
   Config plus = Config::from_text("r=+0.5\nn=+12");
   EXPECT_DOUBLE_EQ(plus.get("r", 0.0), 0.5);
   EXPECT_EQ(plus.get("n", 0), 12);
+}
+
+/// Runs run_main on `args` (argv[0] included) with a body that records
+/// whether it ran and the Config it saw.
+struct RunMainProbe {
+  bool ran = false;
+  Config seen;
+  int run(std::vector<const char*> args,
+          const std::function<int(const Config&)>& body = nullptr) {
+    return run_main(static_cast<int>(args.size()), args.data(),
+                    "usage: prog [key=value...]\n",
+                    [&](const Config& cfg) {
+                      ran = true;
+                      seen = cfg;
+                      return body ? body(cfg) : 0;
+                    });
+  }
+};
+
+TEST(RunMain, HelpPrintsUsageWithoutRunningBody) {
+  for (const char* flag : {"--help", "-h"}) {
+    RunMainProbe probe;
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(probe.run({"/bin/prog", "size=4", flag, "oops"}), 0);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "usage: prog [key=value...]\n");
+    EXPECT_FALSE(probe.ran);
+  }
+}
+
+TEST(RunMain, MalformedTokenExitsTwoWithUsageOnStderr) {
+  RunMainProbe probe;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(probe.run({"/bin/prog", "size=4", "oops"}), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: expected key=value, got: oops\n"
+            "usage: prog [key=value...]\n");
+  EXPECT_FALSE(probe.ran);
+}
+
+TEST(RunMain, ThrowingBodyExitsOneWithItsMessage) {
+  RunMainProbe probe;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(probe.run({"/bin/prog", "jobs=abc"},
+                      [](const Config& cfg) { return cfg.get("jobs", 0); }),
+            1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: bad integer for jobs: abc\n");
+  EXPECT_TRUE(probe.ran);
+}
+
+TEST(RunMain, ReturnsTheBodysExitCode) {
+  RunMainProbe probe;
+  EXPECT_EQ(probe.run({"prog"}, [](const Config&) { return 3; }), 3);
+  EXPECT_TRUE(probe.ran);
+}
+
+TEST(RunMain, BareSmokeFlagsBecomeSmokeKey) {
+  for (const char* flag : {"--smoke", "smoke"}) {
+    RunMainProbe probe;
+    EXPECT_EQ(probe.run({"prog", flag, "rows=4x4"}), 0);
+    EXPECT_TRUE(probe.seen.get("smoke", false)) << flag;
+    EXPECT_EQ(probe.seen.get("rows", std::string{}), "4x4");
+  }
+  RunMainProbe none;
+  EXPECT_EQ(none.run({"prog", "rows=4x4"}), 0);
+  EXPECT_FALSE(none.seen.has("smoke"));
+}
+
+TEST(RunMain, DashedFlagsParseAsFromArgs) {
+  RunMainProbe probe;
+  EXPECT_EQ(probe.run({"prog", "--jobs", "4", "--workload", "trace=x.drltrc",
+                       "--smoke", "--out=r.json"}),
+            0);
+  EXPECT_EQ(probe.seen.get("jobs", 0), 4);
+  EXPECT_EQ(probe.seen.get("workload", std::string{}), "trace=x.drltrc");
+  EXPECT_EQ(probe.seen.get("out", std::string{}), "r.json");
+  EXPECT_TRUE(probe.seen.get("smoke", false));
+}
+
+TEST(RunMain, AppliesLogLevel) {
+  const LogLevel before = log_level();
+  RunMainProbe probe;
+  LogLevel during = LogLevel::kOff;
+  EXPECT_EQ(probe.run({"prog", "log=debug"},
+                      [&](const Config&) {
+                        during = log_level();
+                        return 0;
+                      }),
+            0);
+  EXPECT_EQ(during, LogLevel::kDebug);
+  set_log_level(before);
 }
 
 TEST(Table, RowReturnsReferenceIntoTable) {

@@ -25,7 +25,7 @@
 #include "obs/session.h"
 #include "rl/policy_io.h"
 #include "scenario/scenario_io.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -54,66 +54,51 @@ int usage() {
   return 2;
 }
 
-int help(const std::string& command) {
-  if (command == "describe") {
-    std::cout
-        << "fleetctl describe spec=X\n"
-           "Parse a .drlfs scenario-space spec (and its base scenario) and\n"
-           "print the sweep axes, seed replicas, and total point count,\n"
-           "plus the first few expanded point labels.\n";
-  } else if (command == "generate") {
-    std::cout
-        << "fleetctl generate spec=X out=DIR [count=N]\n"
-           "Expand the first N points (default 8) of the space into\n"
-           "standalone .drlsc files under DIR, for inspection or for\n"
-           "running individually with scenarioctl. Every point is always\n"
-           "reproducible from (spec, index) alone; generated files are a\n"
-           "convenience, not the source of truth.\n";
-  } else if (command == "run" || command == "resume") {
-    std::cout
-        << "fleetctl run spec=X results=DIR [controller=...] [policy=FILE]\n"
-           "            [policy_pin=HEX16] [epochs=N] [epoch_cycles=N]\n"
-           "            [qos_features=0|1] [shard=I] [shards=N] [jobs=J]\n"
-           "Evaluate the controller across this shard's slice of the\n"
-           "space (index % shards == shard), one result file per scenario\n"
-           "under DIR, in parallel across J jobs (results bit-identical at\n"
-           "any J). Scenarios whose result file already exists are skipped,\n"
-           "so a killed run resumes where it stopped — `resume` is the\n"
-           "same command under the honest name. controller=drl requires\n"
-           "policy=FILE (a DqnAgent::save artifact); policy_pin=HEX16\n"
-           "refuses to run unless the policy's fingerprint (printed by\n"
-           "scenarioctl train and by this command) matches, and every\n"
-           "result file records the served version as policy_version=.\n"
-           "qos_features=1 uses per-tenant QoS feature slices (the state\n"
-           "size then depends on the tenant count — only for policies\n"
-           "trained that way).\n";
-  } else if (command == "score") {
-    std::cout
-        << "fleetctl score spec=X results=DIR out=FILE [worst=K]\n"
-           "              [--metrics-out=DIR] [controller flags as in run]\n"
-           "Aggregate every result file of the space into the scorecard\n"
-           "JSON: per-QoS-class SLO hit rates and p95 distributions,\n"
-           "aggregate metric summaries, degradation counters, and the\n"
-           "worst-K scenarios by tenant SLO hit rate, named. The\n"
-           "controller flags must match the run's so the result keys\n"
-           "agree. With --metrics-out=DIR the worst-K scenarios are\n"
-           "re-run serially with the metrics tap attached, writing\n"
-           "per-router heatmap CSVs (worst-<index>_heatmap.csv) under\n"
-           "DIR. Exit 0 when every point was scored, 3 when some results\n"
-           "are missing (scorecard still written).\n";
-  } else {
-    std::cout << kUsage;
-  }
-  return 0;
-}
+constexpr const char* kDescribeHelp =
+    "usage: fleetctl describe spec=X\n"
+    "Parse a .drlfs scenario-space spec (and its base scenario) and\n"
+    "print the sweep axes, seed replicas, and total point count,\n"
+    "plus the first few expanded point labels.\n";
 
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
-}
+constexpr const char* kGenerateHelp =
+    "usage: fleetctl generate spec=X out=DIR [count=N]\n"
+    "Expand the first N points (default 8) of the space into\n"
+    "standalone .drlsc files under DIR, for inspection or for\n"
+    "running individually with scenarioctl. Every point is always\n"
+    "reproducible from (spec, index) alone; generated files are a\n"
+    "convenience, not the source of truth.\n";
+
+constexpr const char* kRunHelp =
+    "usage: fleetctl run spec=X results=DIR [controller=...] [policy=FILE]\n"
+    "                   [policy_pin=HEX16] [epochs=N] [epoch_cycles=N]\n"
+    "                   [qos_features=0|1] [shard=I] [shards=N] [jobs=J]\n"
+    "Evaluate the controller across this shard's slice of the\n"
+    "space (index % shards == shard), one result file per scenario\n"
+    "under DIR, in parallel across J jobs (results bit-identical at\n"
+    "any J). Scenarios whose result file already exists are skipped,\n"
+    "so a killed run resumes where it stopped — `resume` is the\n"
+    "same command under the honest name. controller=drl requires\n"
+    "policy=FILE (a DqnAgent::save artifact); policy_pin=HEX16\n"
+    "refuses to run unless the policy's fingerprint (printed by\n"
+    "scenarioctl train and by this command) matches, and every\n"
+    "result file records the served version as policy_version=.\n"
+    "qos_features=1 uses per-tenant QoS feature slices (the state\n"
+    "size then depends on the tenant count — only for policies\n"
+    "trained that way).\n";
+
+constexpr const char* kScoreHelp =
+    "usage: fleetctl score spec=X results=DIR out=FILE [worst=K]\n"
+    "                     [--metrics-out=DIR] [controller flags as in run]\n"
+    "Aggregate every result file of the space into the scorecard\n"
+    "JSON: per-QoS-class SLO hit rates and p95 distributions,\n"
+    "aggregate metric summaries, degradation counters, and the\n"
+    "worst-K scenarios by tenant SLO hit rate, named. The\n"
+    "controller flags must match the run's so the result keys\n"
+    "agree. With --metrics-out=DIR the worst-K scenarios are\n"
+    "re-run serially with the metrics tap attached, writing\n"
+    "per-router heatmap CSVs (worst-<index>_heatmap.csv) under\n"
+    "DIR. Exit 0 when every point was scored, 3 when some results\n"
+    "are missing (scorecard still written).\n";
 
 fleet::ScenarioSpace load_space(const util::Config& cfg) {
   const std::string path = cfg.get("spec", std::string());
@@ -308,23 +293,19 @@ int cmd_score(const util::Config& cfg) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
+  if (util::is_help_flag(command)) {
     std::cout << kUsage;
     return 0;
   }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "describe") return cmd_describe(cfg);
-    if (command == "generate") return cmd_generate(cfg);
-    if (command == "run" || command == "resume") return cmd_run(cfg);
-    if (command == "score") return cmd_score(cfg);
-    LOG_ERROR << "fleetctl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "fleetctl: " << e.what();
-    return 1;
-  }
+  // run_main names the program after its argv[0] slot.
+  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
+    argv[1] = argv[0];
+    return util::run_main(argc - 1, argv + 1, help, body);
+  };
+  if (command == "describe") return sub(kDescribeHelp, cmd_describe);
+  if (command == "generate") return sub(kGenerateHelp, cmd_generate);
+  if (command == "run" || command == "resume") return sub(kRunHelp, cmd_run);
+  if (command == "score") return sub(kScoreHelp, cmd_score);
+  std::cerr << "fleetctl: unknown command '" << command << "'\n";
+  return usage();
 }

@@ -29,7 +29,7 @@
 #include "rl/policy_io.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario_io.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -59,81 +59,64 @@ int usage() {
   return 2;
 }
 
-/// Detailed per-subcommand help, printed to stdout for `scenarioctl <cmd>
-/// --help` (exit 0, unlike the exit-2 usage() error path).
-int help(const std::string& command) {
-  if (command == "validate") {
-    std::cout
-        << "scenarioctl validate file=X\n"
-           "Parse and fully validate a .drlsc scenario — key/section typos,\n"
-           "tenant specs, QoS constraints, and eager loading of referenced\n"
-           "traces and policy files (relative to the scenario file). Prints\n"
-           "a one-line summary on success; exit 1 with a diagnostic on any\n"
-           "error.\n";
-  } else if (command == "describe") {
-    std::cout
-        << "scenarioctl describe file=X\n"
-           "Print the parsed scenario: fabric, horizon, one row per tenant\n"
-           "(workload, node set, activity window, QoS class) and the\n"
-           "[controller] schedule when present.\n";
-  } else if (command == "run") {
-    std::cout
-        << "scenarioctl run file=X [cycle_limit=N] [duration=T] [seed=S]\n"
-           "Execute the scenario and print aggregate plus per-tenant\n"
-           "latency/throughput/energy. Exit 0 only when every tenant\n"
-           "finished and the fabric drained within the cycle limit\n"
-           "(cycle_limit=/duration=/seed= override the file).\n"
-           "Fault overrides — fault_rate= fault_seed= fault_timeout=\n"
-           "fault_backoff= fault_budget= — tweak (or switch on) the\n"
-           "scenario's [faults] section; the merged config is re-validated,\n"
-           "so out-of-range overrides fail like a bad file.\n"
-           "With a [controller] block the run is instead a fixed-length\n"
-           "scheduled policy evaluation (static/heuristic/trained-DRL)\n"
-           "reporting per-tenant latency and SLO hit rates; epochs= and\n"
-           "epoch_cycles= override the schedule, cycle_limit/duration do\n"
-           "not apply, and completion exits 0.\n"
-           "For a drl schedule, pin=HEX16 overrides the file's `pin` key:\n"
-           "the run refuses to start unless the policy file's fingerprint\n"
-           "(rl::policy_fingerprint, printed by `train`) matches.\n"
-           "Observability (see docs/OBSERVABILITY.md): --trace-out=F writes\n"
-           "a Chrome trace-event JSON of sampled packet lifecycles and\n"
-           "scenario/fault/config events (open in Perfetto);\n"
-           "--trace-sample=P sets the sampled packet fraction (default 1.0)\n"
-           "and --trace-capacity=N the ring size. --metrics-out=F writes\n"
-           "per-epoch metrics JSON (plus profiler phase timings) and a\n"
-           "per-router link-utilization heatmap CSV next to it. Observers\n"
-           "never change simulation results.\n";
-  } else if (command == "train") {
-    std::cout
-        << "scenarioctl train file=X out=F [episodes=N] [round=N]\n"
-           "                 [actors=N] [eval_every=N] [seed=S]\n"
-           "                 [epochs=N] [epoch_cycles=N] [qos_features=0|1]\n"
-           "Train a DQN policy on the scenario's epoch MDP (core::train_dqn,\n"
-           "`round` lockstep episode lanes, default 8) and save a\n"
-           "versioned `drlpol 1` checkpoint to F, stamped with the\n"
-           "scenario's content hash and the building commit. `round` is\n"
-           "part of the experiment definition (like a seed); `actors` is\n"
-           "purely the worker-thread count — results are bit-identical at\n"
-           "any value (0 = one per hardware thread). epochs=/epoch_cycles=\n"
-           "override the decision schedule (defaults: the [controller]\n"
-           "block when present, else 24 x 512). qos_features=1 (default)\n"
-           "trains with per-tenant QoS feature slices as scheduled runs\n"
-           "use; pass qos_features=0 for a policy a fleet (aggregate\n"
-           "features) can serve. Prints the policy version (the checkpoint\n"
-           "fingerprint) to pin in runs and fleets.\n";
-  } else {
-    std::cout << kUsage;
-  }
-  return 0;
-}
+constexpr const char* kValidateHelp =
+    "usage: scenarioctl validate file=X\n"
+    "Parse and fully validate a .drlsc scenario — key/section typos,\n"
+    "tenant specs, QoS constraints, and eager loading of referenced\n"
+    "traces and policy files (relative to the scenario file). Prints\n"
+    "a one-line summary on success; exit 1 with a diagnostic on any\n"
+    "error.\n";
 
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
-}
+constexpr const char* kDescribeHelp =
+    "usage: scenarioctl describe file=X\n"
+    "Print the parsed scenario: fabric, horizon, one row per tenant\n"
+    "(workload, node set, activity window, QoS class) and the\n"
+    "[controller] schedule when present.\n";
+
+constexpr const char* kRunHelp =
+    "usage: scenarioctl run file=X [cycle_limit=N] [duration=T] [seed=S]\n"
+    "Execute the scenario and print aggregate plus per-tenant\n"
+    "latency/throughput/energy. Exit 0 only when every tenant\n"
+    "finished and the fabric drained within the cycle limit\n"
+    "(cycle_limit=/duration=/seed= override the file).\n"
+    "Fault overrides — fault_rate= fault_seed= fault_timeout=\n"
+    "fault_backoff= fault_budget= — tweak (or switch on) the\n"
+    "scenario's [faults] section; the merged config is re-validated,\n"
+    "so out-of-range overrides fail like a bad file.\n"
+    "With a [controller] block the run is instead a fixed-length\n"
+    "scheduled policy evaluation (static/heuristic/trained-DRL)\n"
+    "reporting per-tenant latency and SLO hit rates; epochs= and\n"
+    "epoch_cycles= override the schedule, cycle_limit/duration do\n"
+    "not apply, and completion exits 0.\n"
+    "For a drl schedule, pin=HEX16 overrides the file's `pin` key:\n"
+    "the run refuses to start unless the policy file's fingerprint\n"
+    "(rl::policy_fingerprint, printed by `train`) matches.\n"
+    "Observability (see docs/OBSERVABILITY.md): --trace-out=F writes\n"
+    "a Chrome trace-event JSON of sampled packet lifecycles and\n"
+    "scenario/fault/config events (open in Perfetto);\n"
+    "--trace-sample=P sets the sampled packet fraction (default 1.0)\n"
+    "and --trace-capacity=N the ring size. --metrics-out=F writes\n"
+    "per-epoch metrics JSON (plus profiler phase timings) and a\n"
+    "per-router link-utilization heatmap CSV next to it. Observers\n"
+    "never change simulation results.\n";
+
+constexpr const char* kTrainHelp =
+    "usage: scenarioctl train file=X out=F [episodes=N] [round=N]\n"
+    "                        [actors=N] [eval_every=N] [seed=S]\n"
+    "                        [epochs=N] [epoch_cycles=N] [qos_features=0|1]\n"
+    "Train a DQN policy on the scenario's epoch MDP (core::train_dqn,\n"
+    "`round` lockstep episode lanes, default 8) and save a\n"
+    "versioned `drlpol 1` checkpoint to F, stamped with the\n"
+    "scenario's content hash and the building commit. `round` is\n"
+    "part of the experiment definition (like a seed); `actors` is\n"
+    "purely the worker-thread count — results are bit-identical at\n"
+    "any value (0 = one per hardware thread). epochs=/epoch_cycles=\n"
+    "override the decision schedule (defaults: the [controller]\n"
+    "block when present, else 24 x 512). qos_features=1 (default)\n"
+    "trains with per-tenant QoS feature slices as scheduled runs\n"
+    "use; pass qos_features=0 for a policy a fleet (aggregate\n"
+    "features) can serve. Prints the policy version (the checkpoint\n"
+    "fingerprint) to pin in runs and fleets.\n";
 
 void describe_tenants(const scenario::Scenario& s) {
   util::Table tab({"tenant", "workload", "detail", "nodes", "window", "qos"});
@@ -462,23 +445,19 @@ int cmd_run(const util::Config& cfg) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
+  if (util::is_help_flag(command)) {
     std::cout << kUsage;
     return 0;
   }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "validate") return cmd_validate(cfg);
-    if (command == "describe") return cmd_describe(cfg);
-    if (command == "run") return cmd_run(cfg);
-    if (command == "train") return cmd_train(cfg);
-    LOG_ERROR << "scenarioctl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "scenarioctl: " << e.what();
-    return 1;
-  }
+  // run_main names the program after its argv[0] slot.
+  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
+    argv[1] = argv[0];
+    return util::run_main(argc - 1, argv + 1, help, body);
+  };
+  if (command == "validate") return sub(kValidateHelp, cmd_validate);
+  if (command == "describe") return sub(kDescribeHelp, cmd_describe);
+  if (command == "run") return sub(kRunHelp, cmd_run);
+  if (command == "train") return sub(kTrainHelp, cmd_train);
+  std::cerr << "scenarioctl: unknown command '" << command << "'\n";
+  return usage();
 }

@@ -21,7 +21,7 @@
 #include "trace/generators.h"
 #include "trace/trace_io.h"
 #include "trace/trace_workload.h"
-#include "util/config.h"
+#include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -49,53 +49,44 @@ int usage() {
   return 2;
 }
 
-/// Detailed per-subcommand help, printed to stdout for `tracectl <cmd>
-/// --help` (exit 0, unlike the exit-2 usage() error path).
-int help(const std::string& command) {
-  if (command == "info") {
-    std::cout
-        << "tracectl info file=X [show=N]\n"
-           "Print a trace's header and summary (records, roots, dependency\n"
-           "edges, time span, offered root rate, total flits). show=N also\n"
-           "lists the first N records. Reads .drltrc (text) or .drltrb\n"
-           "(binary); the encoding is sniffed from the file contents.\n";
-  } else if (command == "stats") {
-    std::cout
-        << "tracectl stats file=X [top=N]\n"
-           "Per-node packet/flit histograms plus a dependency-depth summary\n"
-           "(depth = longest predecessor chain; roots are depth 0) — the\n"
-           "quick shape check before replaying an unfamiliar trace.\n"
-           "top=N shows the N busiest nodes (default 8; top=0 for all).\n";
-  } else if (command == "convert") {
-    std::cout
-        << "tracectl convert in=X out=Y\n"
-           "Re-encode a trace. The output encoding is chosen by extension:\n"
-           ".drltrb is packed binary (32-byte record stride), anything else\n"
-           "is text. Both directions round-trip bit-exactly.\n";
-  } else if (command == "generate") {
-    std::cout
-        << "tracectl generate kind=K out=X [params...]\n"
-           "Synthesize a task-graph trace. Kinds and their parameters:\n"
-           "  dnn        layer-pipeline DNN: nodes= layers= tiles= batches=\n"
-           "             interval= compute= flits=\n"
-           "  allreduce  ring all-reduce: nodes= rounds= compute= flits=\n"
-           "             start=\n"
-           "  alltoall   barrier-separated rounds: nodes= rounds= compute=\n"
-           "             flits= start=\n"
-           "Defaults mirror the structs in src/trace/generators.h.\n";
-  } else if (command == "replay") {
-    std::cout
-        << "tracectl replay file=X [size=4] [topology=mesh] [scale=1.0]\n"
-           "               [cycle_limit=1000000]\n"
-           "Replay a trace on a fresh fabric and print latency/energy\n"
-           "metrics. size= (or width=/height=) must cover the trace's node\n"
-           "count; scale= divides all release times (load knob); seed= sets\n"
-           "the network seed. Exit 1 if the cycle limit is hit first.\n";
-  } else {
-    std::cout << kUsage;
-  }
-  return 0;
-}
+constexpr const char* kInfoHelp =
+    "usage: tracectl info file=X [show=N]\n"
+    "Print a trace's header and summary (records, roots, dependency\n"
+    "edges, time span, offered root rate, total flits). show=N also\n"
+    "lists the first N records. Reads .drltrc (text) or .drltrb\n"
+    "(binary); the encoding is sniffed from the file contents.\n";
+
+constexpr const char* kStatsHelp =
+    "usage: tracectl stats file=X [top=N]\n"
+    "Per-node packet/flit histograms plus a dependency-depth summary\n"
+    "(depth = longest predecessor chain; roots are depth 0) — the\n"
+    "quick shape check before replaying an unfamiliar trace.\n"
+    "top=N shows the N busiest nodes (default 8; top=0 for all).\n";
+
+constexpr const char* kConvertHelp =
+    "usage: tracectl convert in=X out=Y\n"
+    "Re-encode a trace. The output encoding is chosen by extension:\n"
+    ".drltrb is packed binary (32-byte record stride), anything else\n"
+    "is text. Both directions round-trip bit-exactly.\n";
+
+constexpr const char* kGenerateHelp =
+    "usage: tracectl generate kind=K out=X [params...]\n"
+    "Synthesize a task-graph trace. Kinds and their parameters:\n"
+    "  dnn        layer-pipeline DNN: nodes= layers= tiles= batches=\n"
+    "             interval= compute= flits=\n"
+    "  allreduce  ring all-reduce: nodes= rounds= compute= flits=\n"
+    "             start=\n"
+    "  alltoall   barrier-separated rounds: nodes= rounds= compute=\n"
+    "             flits= start=\n"
+    "Defaults mirror the structs in src/trace/generators.h.\n";
+
+constexpr const char* kReplayHelp =
+    "usage: tracectl replay file=X [size=4] [topology=mesh] [scale=1.0]\n"
+    "                      [cycle_limit=1000000]\n"
+    "Replay a trace on a fresh fabric and print latency/energy\n"
+    "metrics. size= (or width=/height=) must cover the trace's node\n"
+    "count; scale= divides all release times (load knob); seed= sets\n"
+    "the network seed. Exit 1 if the cycle limit is hit first.\n";
 
 int cmd_info(const util::Config& cfg) {
   const std::string path = cfg.get("file", std::string());
@@ -320,37 +311,25 @@ int cmd_replay(const util::Config& cfg) {
   return r.completed ? 0 : 1;
 }
 
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
+  if (util::is_help_flag(command)) {
     std::cout << kUsage;
     return 0;
   }
-  if (wants_help(argc, argv)) return help(command);
-  try {
-    // Config::from_args skips its argv[0] slot; shift past the subcommand.
-    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
-    util::init_log(cfg.get("log", std::string()));
-    if (command == "info") return cmd_info(cfg);
-    if (command == "stats") return cmd_stats(cfg);
-    if (command == "convert") return cmd_convert(cfg);
-    if (command == "generate") return cmd_generate(cfg);
-    if (command == "replay") return cmd_replay(cfg);
-    LOG_ERROR << "tracectl: unknown command '" << command << "'";
-    return usage();
-  } catch (const std::exception& e) {
-    LOG_ERROR << "tracectl: " << e.what();
-    return 1;
-  }
+  // run_main names the program after its argv[0] slot.
+  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
+    argv[1] = argv[0];
+    return util::run_main(argc - 1, argv + 1, help, body);
+  };
+  if (command == "info") return sub(kInfoHelp, cmd_info);
+  if (command == "stats") return sub(kStatsHelp, cmd_stats);
+  if (command == "convert") return sub(kConvertHelp, cmd_convert);
+  if (command == "generate") return sub(kGenerateHelp, cmd_generate);
+  if (command == "replay") return sub(kReplayHelp, cmd_replay);
+  std::cerr << "tracectl: unknown command '" << command << "'\n";
+  return usage();
 }
