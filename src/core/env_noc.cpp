@@ -1,12 +1,10 @@
 #include "core/env_noc.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "noc/simulator.h"
 #include "scenario/runtime.h"
-#include "trace/trace_workload.h"
 
 namespace drlnoc::core {
 
@@ -18,10 +16,6 @@ namespace {
 /// the scenario's own seed governs standalone scenarioctl-style runs.
 NocEnvParams resolve_scenario(NocEnvParams p) {
   if (p.scenario) {
-    if (p.trace) {
-      throw std::invalid_argument(
-          "NocEnvParams: set either trace or scenario, not both");
-    }
     p.scenario->validate();
     const std::uint64_t seed = p.net.seed;
     p.net = p.scenario->net;
@@ -81,23 +75,7 @@ NocConfigEnv::NocConfigEnv(NocEnvParams params)
           "action space exceeds physical resources: " + noc::to_string(c));
     }
   }
-  if (params_.trace) {
-    params_.trace->validate();
-    if (!(params_.trace_rate_scale > 0.0) ||
-        !std::isfinite(params_.trace_rate_scale)) {
-      throw std::invalid_argument(
-          "trace_rate_scale must be finite and > 0, got " +
-          std::to_string(params_.trace_rate_scale));
-    }
-    if (params_.trace->nodes > params_.net.width * params_.net.height) {
-      throw std::invalid_argument(
-          "trace addresses " + std::to_string(params_.trace->nodes) +
-          " nodes but the network has only " +
-          std::to_string(params_.net.width * params_.net.height));
-    }
-  } else if (params_.scenario) {
-    // Already validated by resolve_scenario; nothing phased to default.
-  } else if (params_.phases.empty()) {
+  if (!params_.scenario && params_.phases.empty()) {
     const auto topo = noc::make_topology(params_.net.topology,
                                          params_.net.width,
                                          params_.net.height);
@@ -120,12 +98,6 @@ double NocConfigEnv::calibrate_power_ref() {
   if (params_.scenario) {
     max_rate =
         std::clamp(scenario::peak_offered_rate(*params_.scenario), 0.01, 0.5);
-  } else if (params_.trace) {
-    // Rough equivalent offered load of the trace's root packets, after the
-    // rate-scale knob; a coarse normalizer is fine here.
-    max_rate = std::clamp(
-        params_.trace->summary().offered_rate * params_.trace_rate_scale,
-        0.01, 0.5);
   }
   for (const noc::Phase& ph : params_.phases)
     max_rate = std::max(max_rate, ph.rate);
@@ -165,13 +137,6 @@ void NocConfigEnv::build_network() {
     composite_ = composite.get();
     workload_ = std::move(composite);
     net_->set_tenant_tracking(params_.scenario->num_tenants());
-    return;
-  }
-  if (params_.trace) {
-    trace::TraceWorkloadParams tw;
-    tw.rate_scale = params_.trace_rate_scale;
-    tw.loop = true;  // RL episodes of any length stay well-defined
-    workload_ = std::make_unique<trace::TraceWorkload>(params_.trace, tw);
     return;
   }
   auto phased = std::make_unique<noc::PhasedWorkload>(net_->topology(),

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/env_noc.h"
@@ -143,18 +142,11 @@ void write_result_file(const std::string& path,
 }
 
 std::optional<FleetScenarioResult> read_result_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const auto nl = text.find('\n');
-  const std::string magic = text.substr(0, nl == std::string::npos ? 0 : nl);
-  if (magic != "drlfr " + std::to_string(kFleetResultFormatVersion)) {
-    throw std::runtime_error("fleet: " + path +
-                             ": missing magic line (expected 'drlfr 1')");
-  }
-  const util::Config cfg = util::Config::from_text(text.substr(nl + 1));
+  const std::optional<util::TextFile> file = util::read_text_file(path);
+  if (!file) return std::nullopt;
+  // Unknown keys are ignored: additive extensions keep the version.
+  const util::Config cfg = util::Config::from_text(
+      file->text, {"fleet: " + path, "drlfr", kFleetResultFormatVersion, {}});
   FleetScenarioResult r;
   r.index = static_cast<std::size_t>(cfg.get("index", 0LL));
   r.label = cfg.get("label", std::string());

@@ -1,4 +1,6 @@
-// Fleet scenario spaces: a versioned `.drlfs` spec that names a base
+// Fleet scenario spaces: a versioned `.drlfs` spec, in the common
+// `key = value` grammar of docs/FORMATS.md (magic `drlfs 1`, no sections,
+// unknown keys rejected with their line), that names a base
 // `.drlsc` scenario and sweeps axes over it (tenant mixes, QoS ratios,
 // injection rates, placements, fault severities, churn intensities),
 // producing a family of hundreds of concrete scenarios. Every point of the
@@ -21,7 +23,6 @@
 //
 // Index layout is mixed-radix with the seed replica innermost (fastest),
 // then axes in declaration order: index = ((axisN..axis0) * seeds) + seed.
-// Unknown keys are rejected with their line number, like `.drlsc` files.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "trace/trace_io.h"
@@ -15,25 +14,11 @@ namespace drlnoc::scenario {
 
 namespace {
 
-/// Config accessor that remembers every key it served, so the loader can
-/// reject unknown (typically misspelled) keys afterwards.
-struct TrackedConfig {
-  const util::Config& cfg;
-  std::set<std::string>* consumed;
+using util::TrackedConfig;
 
-  bool has(const std::string& key) const {
-    if (cfg.has(key)) consumed->insert(key);
-    return cfg.has(key);
-  }
-  template <typename T>
-  T get(const std::string& key, T fallback) const {
-    if (cfg.has(key)) consumed->insert(key);
-    return cfg.get(key, fallback);
-  }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    return get<std::string>(key, fallback);
-  }
-};
+const util::TextFormat kScenarioFormat{
+    "scenario", "drlsc", kScenarioFormatVersion,
+    {"controller", "faults", "churn"}};
 
 std::string join_path(const std::string& base_dir, const std::string& path) {
   if (base_dir.empty() || path.empty() || path.front() == '/') return path;
@@ -200,14 +185,12 @@ ControllerSchedule parse_controller(const TrackedConfig& c,
   }
   if (!ctl.policy_file.empty()) {
     const std::string path = join_path(base_dir, ctl.policy_file);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<util::TextFile> policy = util::read_text_file(path);
+    if (!policy) {
       throw std::invalid_argument(
           "scenario: controller policy file not found: " + path);
     }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    ctl.policy_blob = ss.str();
+    ctl.policy_blob = policy->text;
   }
   return ctl;
 }
@@ -222,78 +205,7 @@ Scenario ScenarioReader::read_text(const std::string& text,
 Scenario ScenarioReader::read_text(
     const std::string& text, const std::string& base_dir,
     const std::map<std::string, std::string>& overrides) {
-  // Scanned line by line (not via Config::from_text) so every key remembers
-  // its 1-based source line: typed-getter errors and the unknown-key check
-  // below can then cite "(line N)" alongside the key name.
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  bool magic_seen = false;
-  std::set<std::string> seen_sections;
-  std::string section_prefix;
-  util::Config cfg;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string stripped = line;
-    const auto hash = stripped.find('#');
-    if (hash != std::string::npos) stripped.erase(hash);
-    const auto b = stripped.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;  // blank / comment-only line
-    const auto e = stripped.find_last_not_of(" \t\r");
-    stripped = stripped.substr(b, e - b + 1);
-    if (!magic_seen) {
-      // The magic line is not a key=value pair; check it by hand.
-      std::istringstream ls(stripped);
-      std::string magic;
-      int version = 0;
-      if (!(ls >> magic >> version) || magic != "drlsc") {
-        throw std::runtime_error(
-            "scenario: missing magic line (expected 'drlsc 1')");
-      }
-      if (version != kScenarioFormatVersion) {
-        throw std::runtime_error("scenario: unsupported format version " +
-                                 std::to_string(version));
-      }
-      magic_seen = true;
-      continue;
-    }
-    // Section headers: `[controller]` / `[faults]` / `[churn]` prefix every
-    // following key with `controller.` / `faults.` / `churn.` so the blocks
-    // read like INI sections. Duplicates and unknown sections are rejected
-    // like unknown keys.
-    if (stripped.front() == '[') {
-      if (stripped != "[controller]" && stripped != "[faults]" &&
-          stripped != "[churn]") {
-        throw std::invalid_argument("scenario: unknown section '" + stripped +
-                                    "' (line " + std::to_string(lineno) + ")");
-      }
-      if (!seen_sections.insert(stripped).second) {
-        throw std::invalid_argument("scenario: duplicate " + stripped +
-                                    " block (line " + std::to_string(lineno) +
-                                    ")");
-      }
-      section_prefix = stripped.substr(1, stripped.size() - 2) + ".";
-      continue;
-    }
-    const auto eq = stripped.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("scenario: bad config line " +
-                                  std::to_string(lineno) + ": " + stripped);
-    }
-    auto trim = [](std::string s) {
-      const auto sb = s.find_first_not_of(" \t");
-      if (sb == std::string::npos) return std::string();
-      const auto se = s.find_last_not_of(" \t");
-      return s.substr(sb, se - sb + 1);
-    };
-    const std::string key = section_prefix + trim(stripped.substr(0, eq));
-    cfg.set(key, trim(stripped.substr(eq + 1)));
-    cfg.set_line(key, lineno);
-  }
-  if (!magic_seen) {
-    throw std::runtime_error(
-        "scenario: missing magic line (expected 'drlsc 1')");
-  }
+  util::Config cfg = util::Config::from_text(text, kScenarioFormat);
   // Overrides (fleet axis values) land after the file's keys, under the same
   // flattened names the sections produce ("tenant0.rate", "churn.capacity");
   // unknown override keys fail the unknown-key check below like typos do.
@@ -302,8 +214,7 @@ Scenario ScenarioReader::read_text(
     cfg.set_line(key, 0);  // value came from the override, not the file line
   }
 
-  std::set<std::string> consumed;
-  const TrackedConfig c{cfg, &consumed};
+  const TrackedConfig c(cfg);
 
   Scenario s;
   s.name = c.str("name", s.name);
@@ -338,12 +249,7 @@ Scenario ScenarioReader::read_text(
   s.faults = parse_faults(c);
   s.churn = parse_churn(c);
 
-  for (const std::string& key : cfg.keys()) {
-    if (!consumed.count(key)) {
-      throw std::invalid_argument("scenario: unknown key '" + key + "'" +
-                                  cfg.location_suffix(key));
-    }
-  }
+  c.reject_unknown("scenario");
   // Materialise churn arrivals as concrete tenants before validation, so the
   // returned scenario is fully expanded and validate() covers the instances.
   expand_churn(s);
@@ -352,20 +258,10 @@ Scenario ScenarioReader::read_text(
 }
 
 Scenario ScenarioReader::read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("scenario: cannot open " + path);
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto slash = path.find_last_of('/');
-  const std::string base_dir =
-      slash == std::string::npos ? "" : path.substr(0, slash);
-  try {
-    return read_text(ss.str(), base_dir);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(path + ": " + e.what());
-  }
+  return util::parse_text_file(
+      path, "scenario", [](const std::string& text, const std::string& dir) {
+        return read_text(text, dir);
+      });
 }
 
 void ScenarioWriter::write_text(std::ostream& os, const Scenario& s) {

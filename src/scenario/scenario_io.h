@@ -1,8 +1,9 @@
-// Versioned `.drlsc` scenario description format: a text file whose first
-// non-comment line is the magic `drlsc 1`, followed by Config-style
-// `key = value` lines ('#' starts a comment). One file captures a whole
-// multi-tenant experiment — topology, tenants, workloads, run horizon — so
-// experiments are reproducible from a single artifact.
+// Versioned `.drlsc` scenario description format, written in the common
+// `key = value` grammar of docs/FORMATS.md (magic `drlsc 1`; sections
+// `[controller]`, `[faults]`, `[churn]`; unknown keys rejected with their
+// line). One file captures a whole multi-tenant experiment — topology,
+// tenants, workloads, run horizon — so experiments are reproducible from a
+// single artifact.
 //
 //   drlsc 1
 //   name = dnn_plus_background
@@ -43,9 +44,7 @@
 //   template0.lifetime = exponential   # exponential | fixed | uniform
 //   template0.lifetime_mean = 8000
 //
-// Unknown keys and duplicate/unknown `[...]` sections are rejected (typo
-// safety), with parse errors citing the offending line number; referenced
-// traces and policies are loaded eagerly so a parsed Scenario is
+// Referenced traces and policies are loaded eagerly so a parsed Scenario is
 // self-contained. A `[churn]` block is expanded into concrete windowed
 // tenants at load time (see scenario/churn.h); the writer emits only the
 // declared tenants plus the block, and re-reading re-expands identically.
@@ -65,9 +64,9 @@ inline constexpr char kScenarioExtension[] = ".drlsc";
 class ScenarioReader {
  public:
   /// Parses scenario text; trace paths resolve relative to `base_dir`
-  /// (empty = the working directory). Throws std::runtime_error on
-  /// missing/wrong magic and std::invalid_argument on bad keys or values;
-  /// the returned scenario is validated.
+  /// (empty = the working directory). Throws as Config::from_text does on
+  /// grammar errors and std::invalid_argument on bad keys or values; the
+  /// returned scenario is validated.
   static Scenario read_text(const std::string& text,
                             const std::string& base_dir = "");
   /// Like read_text, but applies `overrides` (flattened key -> value, e.g.

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -12,11 +13,9 @@ namespace drlnoc::util {
 
 namespace {
 std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return std::string();
+  return s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
 }
 }  // namespace
 
@@ -47,20 +46,70 @@ Config Config::from_args(int argc, const char* const* argv) {
   return cfg;
 }
 
-Config Config::from_text(const std::string& text) {
+Config Config::from_text(const std::string& text, const TextFormat& format) {
+  const std::string who = format.label.empty() ? "" : format.label + ": ";
+  const std::string expected_magic =
+      format.magic + " " + std::to_string(format.version);
+  bool magic_seen = format.magic.empty();
+  std::set<std::string> seen_sections;
+  std::string section_prefix;
   Config cfg;
   std::istringstream in(text);
   std::string line;
+  int lineno = 0;
   while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
+    ++lineno;
+    if (const auto hash = line.find('#'); hash != std::string::npos) {
+      line.erase(hash);
+    }
     line = trim(line);
-    if (line.empty()) continue;
+    if (line.empty()) continue;  // blank / comment-only line
+    const auto at = [&] { return " (line " + std::to_string(lineno) + ")"; };
+    if (!magic_seen) {
+      // The magic line is not a key=value pair; check it by hand.
+      std::istringstream ls(line);
+      std::string magic;
+      int version = 0;
+      if (!(ls >> magic >> version) || magic != format.magic) {
+        throw std::runtime_error(who + "missing magic line (expected '" +
+                                 expected_magic + "')");
+      }
+      if (version != format.version) {
+        throw std::runtime_error(who + "unsupported format version " +
+                                 std::to_string(version));
+      }
+      magic_seen = true;
+      continue;
+    }
+    // `[name]` prefixes every following key with `name.`, so blocks read
+    // like INI sections.
+    if (line.front() == '[') {
+      const std::string name = line.substr(1, line.size() - 2);
+      if (line.back() != ']' ||
+          std::find(format.sections.begin(), format.sections.end(), name) ==
+              format.sections.end()) {
+        throw std::invalid_argument(who + "unknown section '" + line + "'" +
+                                    at());
+      }
+      if (!seen_sections.insert(name).second) {
+        throw std::invalid_argument(who + "duplicate " + line + " block" +
+                                    at());
+      }
+      section_prefix = name + ".";
+      continue;
+    }
     const auto eq = line.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("bad config line: " + line);
+      throw std::invalid_argument(who + "bad config line " +
+                                  std::to_string(lineno) + ": " + line);
     }
-    cfg.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+    const std::string key = section_prefix + trim(line.substr(0, eq));
+    cfg.set(key, trim(line.substr(eq + 1)));
+    if (!format.magic.empty()) cfg.set_line(key, lineno);
+  }
+  if (!magic_seen) {
+    throw std::runtime_error(who + "missing magic line (expected '" +
+                             expected_magic + "')");
   }
   return cfg;
 }
@@ -189,6 +238,25 @@ std::vector<std::string> Config::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
   return out;
+}
+
+void TrackedConfig::reject_unknown(const std::string& label) const {
+  for (const std::string& key : cfg_.keys()) {
+    if (!read_.count(key)) {
+      throw std::invalid_argument(label + ": unknown key '" + key + "'" +
+                                  cfg_.location_suffix(key));
+    }
+  }
+}
+
+std::optional<TextFile> read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const auto slash = path.find_last_of('/');
+  return TextFile{ss.str(),
+                  slash == std::string::npos ? "" : path.substr(0, slash)};
 }
 
 }  // namespace drlnoc::util

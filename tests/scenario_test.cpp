@@ -134,6 +134,12 @@ TEST(ScenarioValidate, CatchesBadTenants) {
   small_placement.tenants[0].nodes = {0, 1, 2};  // trace needs 16
   EXPECT_THROW(small_placement.validate(), std::invalid_argument);
 
+  // A trace addressing more endpoints than the fabric has nodes.
+  Scenario small_fabric = mixed_scenario();
+  small_fabric.tenants[0].trace = std::make_shared<const trace::Trace>(
+      trace::generate_alltoall({64, 1, 8.0, 4, 0.0}));
+  EXPECT_THROW(small_fabric.validate(), std::invalid_argument);
+
   // Open-ended background with no duration would never terminate.
   Scenario unbounded = mixed_scenario();
   unbounded.tenants[1].stop = kInf;
@@ -585,14 +591,6 @@ TEST(ScenarioEnv, EpisodesRunOnScenariosWithPerTenantStats) {
   EXPECT_GT(res.tenants[0].mean_latency, 0.0);
   EXPECT_GT(res.tenants[0].p95_latency, 0.0);
   EXPECT_GT(res.tenants[1].accepted_rate, 0.0);
-}
-
-TEST(ScenarioEnv, RejectsTraceAndScenarioTogether) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.scenario = std::make_shared<Scenario>(mixed_scenario());
-  ep.trace = std::make_shared<const trace::Trace>(dnn_trace());
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
 }
 
 TEST(ScenarioEnv, ReplicaSeedsChangeBackgroundTraffic) {

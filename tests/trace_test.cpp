@@ -13,6 +13,7 @@
 #include "core/env_noc.h"
 #include "noc/network.h"
 #include "noc/workload.h"
+#include "scenario/scenario.h"
 #include "trace/generators.h"
 #include "trace/recorder.h"
 #include "trace/trace_io.h"
@@ -257,16 +258,6 @@ TEST(TraceWorkloadTest, RejectsNonpositiveRateScale) {
     tw.rate_scale = bad;
     EXPECT_THROW(TraceWorkload(t, tw), std::invalid_argument) << bad;
   }
-}
-
-TEST(TraceEnv, RejectsNonpositiveTraceRateScale) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.trace = std::make_shared<const Trace>(small_trace());
-  ep.trace_rate_scale = 0.0;
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
-  ep.trace_rate_scale = -2.0;
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
 }
 
 TEST(TraceWorkloadTest, PerSourceQueueDrainsOnePerTick) {
@@ -525,10 +516,19 @@ TEST(Generators, AllToAllShape) {
 // --- RL environment wiring -------------------------------------------------
 
 TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;
-  ep.trace = std::make_shared<const Trace>(
+  // A trace reaches RL episodes as the one tenant of a scenario.
+  auto scn = std::make_shared<scenario::Scenario>();
+  scn->net.width = scn->net.height = 4;
+  scn->duration = 1e6;  // bounds the looping trace
+  scenario::TenantSpec dnn;
+  dnn.name = "dnn_trace";
+  dnn.kind = scenario::WorkloadKind::kTrace;
+  dnn.trace = std::make_shared<const Trace>(
       generate_dnn_pipeline({16, 4, 4, 3, 64.0, 32.0, 8}));
+  dnn.loop = true;  // RL episodes of any length stay well-defined
+  scn->tenants.push_back(std::move(dnn));
+  core::NocEnvParams ep;
+  ep.scenario = scn;
   ep.epoch_cycles = 256;
   ep.epochs_per_episode = 4;
   core::NocConfigEnv env(ep);
@@ -536,7 +536,7 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
 
   const rl::State s0 = env.reset();
   EXPECT_EQ(s0.size(), env.state_size());
-  EXPECT_NE(env.workload(), nullptr);
+  EXPECT_NE(env.composite_workload(), nullptr);
   EXPECT_NE(env.workload()->name().find("trace"), std::string::npos);
   double traffic = 0.0;
   for (int a = 0; a < 3; ++a) {
@@ -551,14 +551,6 @@ TEST(TraceEnv, EpisodesRunOnTraceWorkloads) {
   const rl::State s0b = env2.reset();
   ASSERT_EQ(s0.size(), s0b.size());
   for (std::size_t i = 0; i < s0.size(); ++i) EXPECT_DOUBLE_EQ(s0[i], s0b[i]);
-}
-
-TEST(TraceEnv, RejectsTraceLargerThanNetwork) {
-  core::NocEnvParams ep;
-  ep.net.width = ep.net.height = 4;  // 16 nodes
-  ep.trace = std::make_shared<const Trace>(
-      generate_alltoall({64, 1, 8.0, 4, 0.0}));
-  EXPECT_THROW(core::NocConfigEnv{ep}, std::invalid_argument);
 }
 
 TEST(Generators, CollectivesReplayToCompletion) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -431,6 +432,30 @@ TEST(RunMain, AppliesLogLevel) {
                       }),
             0);
   EXPECT_EQ(during, LogLevel::kDebug);
+  set_log_level(before);
+}
+
+TEST(RunMain, UnknownLogLevelExitsTwo) {
+  const LogLevel before = log_level();
+  RunMainProbe probe;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(probe.run({"/bin/prog", "log=bogus"}), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "prog: unknown log level log=bogus (want "
+                "debug|info|warn|error|off)\nusage: prog [key=value...]\n"),
+            std::string::npos);
+  EXPECT_FALSE(probe.ran);
+
+  // DRLNOC_LOG reaches init_log through the same check.
+  ASSERT_EQ(setenv("DRLNOC_LOG", "loud", 1), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(probe.run({"/bin/prog", "log=warn"}), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("DRLNOC_LOG");
+  EXPECT_NE(err.find("prog: unknown log level DRLNOC_LOG=loud"),
+            std::string::npos)
+      << err;
+  EXPECT_FALSE(probe.ran);
   set_log_level(before);
 }
 

@@ -49,11 +49,6 @@ constexpr const char* kUsage =
     "Pass --help after a subcommand for details; the .drlfs format is\n"
     "specified in docs/FORMATS.md.\n";
 
-int usage() {
-  std::cerr << kUsage;
-  return 2;
-}
-
 constexpr const char* kDescribeHelp =
     "usage: fleetctl describe spec=X\n"
     "Parse a .drlfs scenario-space spec (and its base scenario) and\n"
@@ -291,21 +286,10 @@ int cmd_score(const util::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (util::is_help_flag(command)) {
-    std::cout << kUsage;
-    return 0;
-  }
-  // run_main names the program after its argv[0] slot.
-  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
-    argv[1] = argv[0];
-    return util::run_main(argc - 1, argv + 1, help, body);
-  };
-  if (command == "describe") return sub(kDescribeHelp, cmd_describe);
-  if (command == "generate") return sub(kGenerateHelp, cmd_generate);
-  if (command == "run" || command == "resume") return sub(kRunHelp, cmd_run);
-  if (command == "score") return sub(kScoreHelp, cmd_score);
-  std::cerr << "fleetctl: unknown command '" << command << "'\n";
-  return usage();
+  return util::run_subcommand(argc, argv, kUsage,
+                              {{"describe", kDescribeHelp, cmd_describe},
+                               {"generate", kGenerateHelp, cmd_generate},
+                               {"run", kRunHelp, cmd_run},
+                               {"resume", kRunHelp, cmd_run},
+                               {"score", kScoreHelp, cmd_score}});
 }

@@ -443,21 +443,9 @@ int cmd_run(const util::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (util::is_help_flag(command)) {
-    std::cout << kUsage;
-    return 0;
-  }
-  // run_main names the program after its argv[0] slot.
-  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
-    argv[1] = argv[0];
-    return util::run_main(argc - 1, argv + 1, help, body);
-  };
-  if (command == "validate") return sub(kValidateHelp, cmd_validate);
-  if (command == "describe") return sub(kDescribeHelp, cmd_describe);
-  if (command == "run") return sub(kRunHelp, cmd_run);
-  if (command == "train") return sub(kTrainHelp, cmd_train);
-  std::cerr << "scenarioctl: unknown command '" << command << "'\n";
-  return usage();
+  return util::run_subcommand(argc, argv, kUsage,
+                              {{"validate", kValidateHelp, cmd_validate},
+                               {"describe", kDescribeHelp, cmd_describe},
+                               {"run", kRunHelp, cmd_run},
+                               {"train", kTrainHelp, cmd_train}});
 }

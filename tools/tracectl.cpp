@@ -314,22 +314,10 @@ int cmd_replay(const util::Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (util::is_help_flag(command)) {
-    std::cout << kUsage;
-    return 0;
-  }
-  // run_main names the program after its argv[0] slot.
-  const auto sub = [&](const char* help, int (*body)(const util::Config&)) {
-    argv[1] = argv[0];
-    return util::run_main(argc - 1, argv + 1, help, body);
-  };
-  if (command == "info") return sub(kInfoHelp, cmd_info);
-  if (command == "stats") return sub(kStatsHelp, cmd_stats);
-  if (command == "convert") return sub(kConvertHelp, cmd_convert);
-  if (command == "generate") return sub(kGenerateHelp, cmd_generate);
-  if (command == "replay") return sub(kReplayHelp, cmd_replay);
-  std::cerr << "tracectl: unknown command '" << command << "'\n";
-  return usage();
+  return util::run_subcommand(argc, argv, kUsage,
+                              {{"info", kInfoHelp, cmd_info},
+                               {"stats", kStatsHelp, cmd_stats},
+                               {"convert", kConvertHelp, cmd_convert},
+                               {"generate", kGenerateHelp, cmd_generate},
+                               {"replay", kReplayHelp, cmd_replay}});
 }
