@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,7 +19,7 @@
 #include "rl/dqn.h"
 #include "scenario/runtime.h"
 #include "scenario/scenario.h"
-#include "trace/generators.h"
+#include "scenario/scenario_io.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -63,18 +64,29 @@ inline core::ControllerFactory drl_factory(
 /// `num_nodes` routers), "static-max" or "static-min".
 inline core::ControllerFactory baseline_factory(const std::string& name,
                                                 int num_nodes) {
-  return [name, num_nodes](const core::NocConfigEnv& e)
-      -> std::unique_ptr<core::Controller> {
-    if (name == "static-max") {
-      return core::StaticController::maximal(e.actions());
-    }
-    if (name == "static-min") {
-      return core::StaticController::minimal(e.actions());
-    }
-    core::HeuristicParams hp;
-    hp.num_nodes = num_nodes;
-    return std::make_unique<core::HeuristicController>(e.actions(), hp);
+  return [name, num_nodes](const core::NocConfigEnv& e) {
+    return core::make_baseline_controller(name, e.actions(), num_nodes);
   };
+}
+
+/// Loads the checked-in bench scenario `file` from scenarios/ (the
+/// DRLNOC_SCENARIO_DIR the build defines) through ScenarioReader. The
+/// scenario keys in `overrides` (e.g. `--smoke`'s size) replace the
+/// file's values; then every CLI key in `cli_keys` that `cfg` holds
+/// replaces the scenario key it maps to (`bg_rate` -> `tenant1.rate`), so
+/// the file supplies every default the command line leaves out.
+inline std::shared_ptr<const scenario::Scenario> load_scenario(
+    const std::string& file, std::map<std::string, std::string> overrides,
+    const util::Config& cfg = {},
+    const std::map<std::string, std::string>& cli_keys = {}) {
+  for (const auto& [cli_key, key] : cli_keys) {
+    if (const auto value = cfg.raw(cli_key)) overrides[key] = *value;
+  }
+  return std::make_shared<const scenario::Scenario>(util::parse_text_file(
+      std::string(DRLNOC_SCENARIO_DIR) + "/" + file, "scenario",
+      [&](const std::string& text, const std::string& dir) {
+        return scenario::ScenarioReader::read_text(text, dir, overrides);
+      }));
 }
 
 /// Trains a fresh agent (rl::standard_dqn) on `env` and returns it.
@@ -121,57 +133,6 @@ inline bool maybe_traced_run(const util::Config& cfg,
                     : duration_cap;
   scenario::run_scenario(*net, *workload, rp);
   return session.finish();
-}
-
-/// The T5/T6 interference scenario: a looping DNN-pipeline trace tenant
-/// ("dnn", 16 endpoints on nodes 0-15) plus fabric-wide uniform background
-/// traffic. `p95_target > 0` adds T6's QoS annotations: dnn becomes
-/// latency-critical with that target and the background tenant background.
-struct DnnBackgroundParams {
-  std::string name;
-  int size = 8;
-  int batches = 4;          ///< DNN pipeline batches
-  double rate_scale = 1.0;  ///< dnn trace replay speed
-  double bg_rate = 0.05;
-  double p95_target = 0.0;  ///< > 0 annotates the tenants for QoS
-};
-
-inline std::shared_ptr<scenario::Scenario> dnn_background_scenario(
-    const DnnBackgroundParams& p) {
-  const bool qos = p.p95_target > 0.0;
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = p.name;
-  s->net.width = s->net.height = p.size;
-  s->net.seed = 42;
-
-  scenario::TenantSpec dnn;
-  dnn.name = "dnn";
-  dnn.kind = scenario::WorkloadKind::kTrace;
-  trace::DnnPipelineParams dp;
-  dp.nodes = 16;
-  dp.batches = p.batches;
-  dnn.trace =
-      std::make_shared<const trace::Trace>(trace::generate_dnn_pipeline(dp));
-  dnn.rate_scale = p.rate_scale;
-  dnn.loop = true;  // RL episodes of any length stay fed
-  dnn.nodes = scenario::parse_node_set("0-15", p.size * p.size);
-  if (qos) {
-    dnn.qos = scenario::QosClass::kLatencyCritical;
-    dnn.p95_target = p.p95_target;
-  }
-  s->tenants.push_back(std::move(dnn));
-
-  scenario::TenantSpec bg;
-  bg.name = "background";
-  bg.kind = scenario::WorkloadKind::kSteady;
-  bg.pattern = "uniform";
-  bg.rate = p.bg_rate;
-  if (qos) bg.qos = scenario::QosClass::kBackground;
-  s->tenants.push_back(std::move(bg));
-  // Horizon for standalone (scenarioctl-style) runs; RL episodes are
-  // bounded by epochs_per_episode instead.
-  s->duration = 1e6;
-  return s;
 }
 
 /// Per-tenant mean + 95% CI over the replicas of one controller.

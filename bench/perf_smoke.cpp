@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "bench_json.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -27,9 +28,6 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
-#include "scenario/runtime.h"
-#include "scenario/scenario.h"
-#include "trace/generators.h"
 #include "util/cli.h"
 
 namespace {
@@ -75,33 +73,14 @@ double bench_network(int size, int vcs, double rate, std::uint64_t cycles,
 }
 
 /// Router cycles per second at the T6 training load (table6_qos and the
-/// perfbench train workload): 8x8 mesh, a looping DNN-pipeline trace tenant
-/// on nodes 0-15 over uniform background traffic at 0.05. Near saturation
-/// with almost every router active — where training spends its time.
+/// perfbench train workload): scenarios/t6_qos.drlsc at its full 8x8 size,
+/// a looping DNN-pipeline trace tenant on nodes 0-15 over uniform
+/// background traffic at 0.05, with traffic seed 1. Near saturation with
+/// almost every router active — where training spends its time.
 double bench_network_t6(std::uint64_t cycles, int repeats) {
-  drlnoc::scenario::Scenario s;
-  s.net.width = s.net.height = 8;
-  s.net.seed = 1;
-  drlnoc::scenario::TenantSpec dnn;
-  dnn.name = "dnn";
-  dnn.kind = drlnoc::scenario::WorkloadKind::kTrace;
-  drlnoc::trace::DnnPipelineParams dp;
-  dp.nodes = 16;
-  dp.batches = 4;
-  dnn.trace = std::make_shared<const drlnoc::trace::Trace>(
-      drlnoc::trace::generate_dnn_pipeline(dp));
-  dnn.loop = true;
-  dnn.nodes = drlnoc::scenario::parse_node_set("0-15", 64);
-  s.tenants.push_back(std::move(dnn));
-  drlnoc::scenario::TenantSpec bg;
-  bg.name = "background";
-  bg.kind = drlnoc::scenario::WorkloadKind::kSteady;
-  bg.pattern = "uniform";
-  bg.rate = 0.05;
-  s.tenants.push_back(std::move(bg));
-
-  auto net = drlnoc::scenario::build_network(s);
-  auto w = drlnoc::scenario::build_workload(s, net->topology());
+  const auto s = drlnoc::bench::load_scenario("t6_qos.drlsc", {{"seed", "1"}});
+  auto net = drlnoc::scenario::build_network(*s);
+  auto w = drlnoc::scenario::build_workload(*s, net->topology());
   net->set_tenant_tracking(w->num_tenants());
   return measure_rate(cycles, repeats, [&] {
     for (std::uint64_t i = 0; i < cycles; ++i) net->step(w.get());

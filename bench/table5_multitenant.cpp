@@ -5,12 +5,16 @@
 // no-background level than static-min/static-max do, at lower energy than
 // static-max; per-tenant metrics make the victim/aggressor split visible.
 //
+// The scenario is scenarios/t5_multitenant.drlsc; its header lists the
+// keys the command line and `--smoke` override.
+//
 // Replication fans out over the experiment engine; results (including the
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps per-tenant metrics via
 // bench/bench_json.h.
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,20 +36,19 @@ constexpr const char* kUsage =
 
 int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
-  const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
-  const double bg_rate = cfg.get("bg_rate", 0.04);
-  const double rate_scale = cfg.get("rate_scale", 1.0);
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: a 16-endpoint DNN pipeline + fabric-wide background ---
-  const auto s = bench::dnn_background_scenario(
-      {.name = "dnn_plus_background",
-       .size = size,
-       .batches = smoke ? 2 : 4,
-       .rate_scale = rate_scale,
-       .bg_rate = bg_rate});
+  std::map<std::string, std::string> smoke_keys;
+  if (smoke) smoke_keys = {{"size", "4"}, {"tenant0.trace", "dnn16_b2.drltrc"}};
+  const auto s = bench::load_scenario(
+      "t5_multitenant.drlsc", smoke_keys, cfg,
+      {{"size", "size"},
+       {"bg_rate", "tenant1.rate"},
+       {"rate_scale", "tenant0.rate_scale"}});
+  const int size = s->net.width;
 
   core::NocEnvParams ep;
   ep.scenario = s;
@@ -55,8 +58,8 @@ int run(const util::Config& cfg) {
   core::NocConfigEnv env(ep);
 
   std::cout << "T5: multi-tenant interference (mesh " << size << "x" << size
-            << "; dnn trace on nodes 0-15 x" << rate_scale
-            << " + uniform background @" << bg_rate
+            << "; dnn trace on nodes 0-15 x" << s->tenants[0].rate_scale
+            << " + uniform background @" << s->tenants[1].rate
             << "; power_ref = " << env.power_ref_mw()
             << " mW; jobs = " << runner.jobs() << ")\n\n";
 

@@ -7,6 +7,9 @@
 // happily trades victim p95 for fabric-wide energy) while spending less
 // power than static-max.
 //
+// The scenario is scenarios/t6_qos.drlsc; its header lists the keys the
+// command line and `--smoke` override.
+//
 // Training runs `round` lockstep episode lanes (round= is semantic, actors=
 // is thread fan-out only) and replication fans out over the experiment engine;
 // results (including the emitted JSON) are bit-identical at any
@@ -15,6 +18,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,7 +41,6 @@ constexpr const char* kUsage =
 
 int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
-  const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
   // `round` is semantic (part of the experiment definition), `actors` is
   // pure wall-clock fan-out — the table and the emitted JSON are
@@ -45,19 +48,22 @@ int run(const util::Config& cfg) {
   const int round = cfg.get("round", 8);
   const int actors = cfg.get("actors", 0);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
-  const double bg_rate = cfg.get("bg_rate", 0.05);
-  const double rate_scale = cfg.get("rate_scale", 1.0);
-  const double p95_target = cfg.get("p95_target", smoke ? 200.0 : 300.0);
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   // --- the scenario: latency-critical DNN pipeline + background sweep ------
-  const auto s = bench::dnn_background_scenario(
-      {.name = "qos_dnn_vs_background",
-       .size = size,
-       .batches = smoke ? 2 : 4,
-       .rate_scale = rate_scale,
-       .bg_rate = bg_rate,
-       .p95_target = p95_target});
+  std::map<std::string, std::string> smoke_keys;
+  if (smoke) {
+    smoke_keys = {{"size", "4"},
+                  {"tenant0.trace", "dnn16_b2.drltrc"},
+                  {"tenant0.p95_target", "200"}};
+  }
+  const auto s = bench::load_scenario(
+      "t6_qos.drlsc", smoke_keys, cfg,
+      {{"size", "size"},
+       {"bg_rate", "tenant1.rate"},
+       {"rate_scale", "tenant0.rate_scale"},
+       {"p95_target", "tenant0.p95_target"}});
+  const int size = s->net.width;
 
   // Two training environments over one scenario: the QoS objective (SLO
   // penalty + background energy credit + per-tenant features) and the
@@ -74,9 +80,9 @@ int run(const util::Config& cfg) {
   core::NocConfigEnv agg_env(agg_ep);
 
   std::cout << "T6: QoS-aware multi-tenant control (mesh " << size << "x"
-            << size << "; dnn trace on 0-15 x" << rate_scale
-            << " latency_critical p95<=" << p95_target
-            << " + uniform background @" << bg_rate
+            << size << "; dnn trace on 0-15 x" << s->tenants[0].rate_scale
+            << " latency_critical p95<=" << s->tenants[0].p95_target
+            << " + uniform background @" << s->tenants[1].rate
             << "; power_ref = " << qos_env.power_ref_mw()
             << " mW; round = " << round << "; jobs = " << runner.jobs()
             << ")\n\n";

@@ -10,6 +10,9 @@
 // until budgets exhaust), and the permanent-link level shows nonzero
 // rerouted_hops with throughput largely retained.
 //
+// The scenario is scenarios/t7_faults.drlsc; its header lists the keys the
+// command line and `--smoke` override. The fault levels are built here.
+//
 // Replication fans out over the experiment engine; results (including the
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps the metrics via
@@ -17,6 +20,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,7 +29,6 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "noc/faults.h"
-#include "scenario/scenario.h"
 #include "util/cli.h"
 #include "util/log.h"
 
@@ -105,12 +108,8 @@ constexpr const char* kUsage =
 
 int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
-  const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 60);
   const int replicas = cfg.get("replicas", smoke ? 2 : 8);
-  const double critical_rate = cfg.get("critical_rate", 0.03);
-  const double bg_rate = cfg.get("bg_rate", 0.05);
-  const double p95_target = cfg.get("p95_target", smoke ? 200.0 : 150.0);
   const double rate_low = cfg.get("fault_rate_low", 0.002);
   const double rate_high = cfg.get("fault_rate_high", 0.01);
   const core::ExperimentRunner runner = bench::runner_from(cfg);
@@ -118,29 +117,15 @@ int run(const util::Config& cfg) {
   // --- the scenario: latency-critical service + background sweep ----------
   // Both tenants are steady injectors; faults are the experiment's only
   // source of disturbance, so throughput retention isolates degradation.
-  auto s = std::make_shared<scenario::Scenario>();
-  s->name = "faults_service_vs_background";
-  s->net.width = s->net.height = size;
-  s->net.seed = 42;
-  {
-    scenario::TenantSpec svc;
-    svc.name = "service";
-    svc.kind = scenario::WorkloadKind::kSteady;
-    svc.pattern = "uniform";
-    svc.rate = critical_rate;
-    svc.qos = scenario::QosClass::kLatencyCritical;
-    svc.p95_target = p95_target;
-    s->tenants.push_back(std::move(svc));
-
-    scenario::TenantSpec bg;
-    bg.name = "background";
-    bg.kind = scenario::WorkloadKind::kSteady;
-    bg.pattern = "uniform";
-    bg.rate = bg_rate;
-    bg.qos = scenario::QosClass::kBackground;
-    s->tenants.push_back(std::move(bg));
-  }
-  s->duration = 1e6;  // horizon for standalone runs; episodes bound RL use
+  std::map<std::string, std::string> smoke_keys;
+  if (smoke) smoke_keys = {{"size", "4"}, {"tenant0.p95_target", "200"}};
+  const auto s = bench::load_scenario(
+      "t7_faults.drlsc", smoke_keys, cfg,
+      {{"size", "size"},
+       {"critical_rate", "tenant0.rate"},
+       {"bg_rate", "tenant1.rate"},
+       {"p95_target", "tenant0.p95_target"}});
+  const int size = s->net.width;
 
   core::NocEnvParams ep;
   ep.scenario = s;
@@ -153,9 +138,9 @@ int run(const util::Config& cfg) {
       fault_levels(size, rate_low, rate_high);
 
   std::cout << "T7: graceful degradation under faults (mesh " << size << "x"
-            << size << "; service @" << critical_rate
-            << " latency_critical p95<=" << p95_target
-            << " + uniform background @" << bg_rate
+            << size << "; service @" << s->tenants[0].rate
+            << " latency_critical p95<=" << s->tenants[0].p95_target
+            << " + uniform background @" << s->tenants[1].rate
             << "; transient rates " << rate_low << "/" << rate_high
             << ", link-dead node " << size + 1 << " east"
             << "; power_ref = " << env.power_ref_mw()

@@ -1,8 +1,9 @@
 // Multi-actor training wall-clock bench: times DQN training on the T6 QoS
-// scenario three ways — serial (core::train_dqn at round=1), `round=`
-// lockstep lanes stepped by one worker (the lane overhead floor), and the
-// same rounds stepped by `actors=` workers — and emits the timings in the
-// tracked BENCH_*.json format (bench_json.h).
+// scenario (scenarios/t6_qos.drlsc; `--smoke` as in table6_qos) three
+// ways — serial (core::train_dqn at round=1), `round=` lockstep lanes
+// stepped by one worker (the lane overhead floor), and the same rounds
+// stepped by `actors=` workers — and emits the timings in the tracked
+// BENCH_*.json format (bench_json.h).
 //
 //   ./bench/train_parallel                     # full scale, actors=8
 //   ./bench/train_parallel --smoke             # CI scale
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,19 +56,22 @@ double best_seconds(int repeats, Fn&& fn) {
 
 int run(const util::Config& cfg) {
   const bool smoke = cfg.get("smoke", false);
-  const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 4 : 16);
   const int round = cfg.get("round", 8);
   const int actors = cfg.get("actors", 8);
   const int repeats = cfg.get("repeats", smoke ? 1 : 3);
 
-  // The T6 scenario (table6_qos.cpp): latency-critical DNN pipeline over a
-  // background sweep — the training workload being timed.
-  const auto s = bench::dnn_background_scenario(
-      {.name = "qos_dnn_vs_background",
-       .size = size,
-       .batches = smoke ? 2 : 4,
-       .p95_target = smoke ? 200.0 : 300.0});
+  // The T6 scenario: latency-critical DNN pipeline over a background
+  // sweep — the training workload being timed.
+  std::map<std::string, std::string> smoke_keys;
+  if (smoke) {
+    smoke_keys = {{"size", "4"},
+                  {"tenant0.trace", "dnn16_b2.drltrc"},
+                  {"tenant0.p95_target", "200"}};
+  }
+  const auto s =
+      bench::load_scenario("t6_qos.drlsc", smoke_keys, cfg, {{"size", "size"}});
+  const int size = s->net.width;
 
   core::NocEnvParams ep;
   ep.scenario = s;

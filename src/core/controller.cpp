@@ -24,6 +24,17 @@ std::unique_ptr<StaticController> StaticController::minimal(
                                             "static-min");
 }
 
+std::unique_ptr<Controller> make_baseline_controller(const std::string& name,
+                                                     const ActionSpace& space,
+                                                     int num_nodes) {
+  if (name == "static-max") return StaticController::maximal(space);
+  if (name == "static-min") return StaticController::minimal(space);
+  if (name != "heuristic") return nullptr;
+  HeuristicParams hp;
+  hp.num_nodes = num_nodes;
+  return std::make_unique<HeuristicController>(space, hp);
+}
+
 HeuristicController::HeuristicController(const ActionSpace& space,
                                          HeuristicParams params)
     : space_(space), params_(params) {

@@ -78,6 +78,13 @@ class HeuristicController : public Controller {
   int calm_streak_ = 0;
 };
 
+/// The non-learning baseline named `name`: "static-max", "static-min" or
+/// "heuristic" (its backlog threshold normalized to `num_nodes` routers).
+/// Null for any other name.
+std::unique_ptr<Controller> make_baseline_controller(const std::string& name,
+                                                     const ActionSpace& space,
+                                                     int num_nodes);
+
 /// Greedy policy of a (trained) DQN agent. Non-owning.
 class DrlController : public Controller {
  public:

@@ -114,8 +114,11 @@ std::size_t NocConfigEnv::state_size() const {
 
 void NocConfigEnv::build_network() {
   noc::NetworkParams np = params_.net;
-  if (!eval_mode_ && params_.reseed_each_episode) {
-    np.seed = params_.net.seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(episode_);
+  // Training episodes reseed the traffic so the agent cannot overfit one
+  // arrival sequence; evaluation keeps the fixed seed.
+  if (!eval_mode_) {
+    np.seed = params_.net.seed +
+              0x9e3779b9ULL * static_cast<std::uint64_t>(episode_);
   }
   workload_.reset();
   phased_ = nullptr;
@@ -141,7 +144,9 @@ void NocConfigEnv::build_network() {
   }
   auto phased = std::make_unique<noc::PhasedWorkload>(net_->topology(),
                                                       params_.phases);
-  if (!eval_mode_ && params_.random_phase_offset) {
+  // Training episodes start at a random point of the phased workload;
+  // evaluation always starts at phase 0.
+  if (!eval_mode_) {
     util::Rng offset_rng(np.seed ^ 0xabcdef123456ULL);
     phased->set_start_offset(offset_rng.uniform() *
                              phased->total_duration());

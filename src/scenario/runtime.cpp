@@ -137,16 +137,9 @@ std::unique_ptr<core::Controller> build_scheduled_controller(
     throw std::invalid_argument(
         "scenario: no controller schedule (add a [controller] block)");
   }
-  if (ctl.type == "static-max") {
-    return core::StaticController::maximal(env.actions());
-  }
-  if (ctl.type == "static-min") {
-    return core::StaticController::minimal(env.actions());
-  }
-  if (ctl.type == "heuristic") {
-    core::HeuristicParams hp;
-    hp.num_nodes = scenario.net.width * scenario.net.height;
-    return std::make_unique<core::HeuristicController>(env.actions(), hp);
+  if (auto baseline = core::make_baseline_controller(
+          ctl.type, env.actions(), scenario.net.width * scenario.net.height)) {
+    return baseline;
   }
   if (ctl.type == "drl") {
     // Pin check first: it is a pure byte comparison, so a wrong policy

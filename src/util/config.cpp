@@ -66,13 +66,22 @@ Config Config::from_text(const std::string& text, const TextFormat& format) {
     if (line.empty()) continue;  // blank / comment-only line
     const auto at = [&] { return " (line " + std::to_string(lineno) + ")"; };
     if (!magic_seen) {
-      // The magic line is not a key=value pair; check it by hand.
-      std::istringstream ls(line);
-      std::string magic;
-      int version = 0;
-      if (!(ls >> magic >> version) || magic != format.magic) {
+      // The magic line is not a key=value pair; check it by hand. It is
+      // exactly `<magic> <integer>`: "drlsc 1.5" or "drlsc 1 x" is no
+      // version 1.
+      const auto gap = line.find_first_of(" \t");
+      if (line.substr(0, gap) != format.magic) {
         throw std::runtime_error(who + "missing magic line (expected '" +
                                  expected_magic + "')");
+      }
+      const std::string digits =
+          gap == std::string::npos ? "" : trim(line.substr(gap));
+      const char* end = digits.data() + digits.size();
+      int version = 0;
+      const auto [ptr, ec] = std::from_chars(digits.data(), end, version);
+      if (ec != std::errc() || digits.empty() || ptr != end) {
+        throw std::runtime_error(who + "bad magic line '" + line +
+                                 "' (expected '" + expected_magic + "')");
       }
       if (version != format.version) {
         throw std::runtime_error(who + "unsupported format version " +
@@ -104,6 +113,9 @@ Config Config::from_text(const std::string& text, const TextFormat& format) {
                                   std::to_string(lineno) + ": " + line);
     }
     const std::string key = section_prefix + trim(line.substr(0, eq));
+    if (cfg.has(key)) {
+      throw std::invalid_argument(who + "duplicate key '" + key + "'" + at());
+    }
     cfg.set(key, trim(line.substr(eq + 1)));
     if (!format.magic.empty()) cfg.set_line(key, lineno);
   }

@@ -34,10 +34,11 @@ class Config {
   /// Scans newline-separated `key = value` text in `format`: '#' starts a
   /// comment, blank lines are skipped, and keys and values are trimmed of
   /// spaces, tabs and '\r'. A format with a magic word wants
-  /// `<magic> <version>` as the first non-comment line (std::runtime_error
-  /// otherwise), and its keys record their 1-based source lines. `[name]`
-  /// headers among `format.sections` prefix the keys after them with
-  /// `name.`; an unknown or repeated section and a line without `=` throw
+  /// exactly `<magic> <version>` as the first non-comment line
+  /// (std::runtime_error otherwise), and its keys record their 1-based
+  /// source lines. `[name]` headers among `format.sections` prefix the keys
+  /// after them with `name.`; an unknown or repeated section, a repeated
+  /// key (compared with its section prefix) and a line without `=` throw
   /// std::invalid_argument citing the line.
   static Config from_text(const std::string& text,
                           const TextFormat& format = {});

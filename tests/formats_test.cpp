@@ -40,8 +40,12 @@ struct Format {
   }
 };
 
+/// One directory per test: ctest runs the tests as parallel processes, so
+/// a shared r.drlfr or base.drlsc would be rewritten under a reader's feet.
 std::string scratch_dir() {
-  const std::string dir = ::testing::TempDir() + "formats_grammar";
+  const std::string dir =
+      ::testing::TempDir() + "formats_grammar_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -122,6 +126,16 @@ TEST(TextGrammar, RejectsMissingOrWrongMagic) {
     EXPECT_NE(error_of(f, wrong).find("unsupported format version 2"),
               std::string::npos)
         << error_of(f, wrong);
+
+    // The line is exactly `<magic> <integer>`: none of these is version 1.
+    for (const std::string version : {"1.5", "1junk", "1 extra"}) {
+      const std::string line = f.name + " " + version;
+      const std::string msg = error_of(f, line + "\n" + f.body);
+      EXPECT_NE(msg.find("bad magic line '" + line + "' (expected '" +
+                         f.magic + "')"),
+                std::string::npos)
+          << msg;
+    }
   }
 }
 
@@ -172,6 +186,31 @@ TEST(TextGrammar, RejectsUnknownAndDuplicateSections) {
                           : "unknown section '[faults]'" + line_suffix(line);
     EXPECT_NE(twice.find(want), std::string::npos) << twice;
   }
+}
+
+TEST(TextGrammar, RejectsDuplicateKeys) {
+  for (const Format& f : formats()) {
+    SCOPED_TRACE(f.name);
+    // Repeat the body's first key: the repeat is an error, not an update.
+    const std::string first = f.body.substr(0, f.body.find('\n'));
+    const std::string key = first.substr(0, first.find(" ="));
+    const std::string msg = error_of(f, f.text() + first + "\n");
+    EXPECT_NE(msg.find("duplicate key '" + key + "'" +
+                       line_suffix(f.next_line())),
+              std::string::npos)
+        << msg;
+  }
+  // Keys compare with their section prefix: `seed`, `[faults] seed` and
+  // `[churn] seed` are three keys, but a repeat within a section is not.
+  const Format drlsc = formats().front();
+  const std::string seeds = drlsc.text() +
+                            "seed = 3\n[faults]\nseed = 4\n[churn]\nseed = 5\n";
+  EXPECT_EQ(error_of(drlsc, seeds), "");
+  const std::string twice = error_of(drlsc, seeds + "seed = 6\n");
+  EXPECT_NE(twice.find("duplicate key 'churn.seed'" +
+                       line_suffix(drlsc.next_line() + 5)),
+            std::string::npos)
+      << twice;
 }
 
 TEST(TextGrammar, CrlfAndTrailingWhitespaceReadAsLf) {
