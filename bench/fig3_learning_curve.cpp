@@ -67,7 +67,8 @@ int run(const util::Config& cfg) {
   auto smin = core::StaticController::minimal(env.actions());
   const auto rx = core::evaluate(env, *smax);
   const auto rn = core::evaluate(env, *smin);
-  const auto sweep = core::sweep_static(env, cfg.get("jobs", 0));
+  const auto sweep = core::sweep_static_parallel(
+      env.params(), core::ExperimentRunner(cfg.get("jobs", 0)));
   core::DrlController drl(env.actions(), agent);
   const auto rd = core::evaluate(env, drl);
   std::cout << "\nreference returns:  static-max " << util::fmt(rx.total_reward, 2)

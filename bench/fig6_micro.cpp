@@ -43,7 +43,8 @@ void BM_MlpForward(benchmark::State& state) {
   nn::Matrix x(static_cast<std::size_t>(state.range(0)), 20);
   for (double& v : x.raw()) v = rng.normal();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp.forward(x));
+    benchmark::DoNotOptimize(mlp.forward_ws(x).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -58,8 +59,8 @@ void BM_MlpTrainStep(benchmark::State& state) {
   for (double& v : t.raw()) v = rng.normal();
   for (auto _ : state) {
     mlp.zero_grads();
-    const nn::LossResult lr = nn::mse_loss(mlp.forward(x), t);
-    mlp.backward(lr.grad);
+    const nn::LossResult lr = nn::mse_loss(mlp.forward_ws(x), t);
+    mlp.backward_params_ws(lr.grad);
     opt.step(mlp.params(), mlp.grads());
   }
   state.SetItemsProcessed(state.iterations() * 32);
@@ -72,23 +73,26 @@ void BM_ReplayPushSample(benchmark::State& state) {
   rl::Transition t;
   t.state.assign(20, 0.5);
   t.next_state.assign(20, 0.5);
+  rl::SampledBatch batch;
   if (prioritized) {
     rl::PrioritizedReplayBuffer buf(20000);
     for (int i = 0; i < 1000; ++i) buf.push(t);
+    const std::vector<double> td(32, 1.0);
     for (auto _ : state) {
       buf.push(t);
-      auto batch = buf.sample(32, rng);
-      buf.update_priorities(batch.indices,
-                            std::vector<double>(batch.indices.size(), 1.0));
-      benchmark::DoNotOptimize(batch);
+      buf.sample_into(batch, 32, rng);
+      buf.update_priorities(batch.indices, td);
+      benchmark::DoNotOptimize(batch.weights.data());
+      benchmark::ClobberMemory();
     }
   } else {
     rl::ReplayBuffer buf(20000);
     for (int i = 0; i < 1000; ++i) buf.push(t);
     for (auto _ : state) {
       buf.push(t);
-      auto batch = buf.sample(32, rng);
-      benchmark::DoNotOptimize(batch);
+      buf.sample_into(batch, 32, rng);
+      benchmark::DoNotOptimize(batch.weights.data());
+      benchmark::ClobberMemory();
     }
   }
 }

@@ -148,9 +148,9 @@ int run(const util::Config& cfg) {
   if (smoke) return 0;
 
   // ---- Engine scaling: the same sweep, serial vs parallel -----------------
-  // sweep_static evaluates all static configs (36 on the standard space);
-  // every config is an independent episode, so wall-clock should fall
-  // roughly linearly with workers while the sorted results stay
+  // sweep_static_parallel evaluates all static configs (36 on the standard
+  // space); every config is an independent episode, so wall-clock should
+  // fall roughly linearly with workers while the sorted results stay
   // bit-identical.
   core::NocEnvParams ep;
   ep.net.width = ep.net.height = cfg.get("sweep_size", 8);

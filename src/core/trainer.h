@@ -9,7 +9,8 @@
 //                      run in parallel. round = 1 is the plain serial loop.
 //   * evaluate       — one greedy / frozen-policy episode under any
 //                      Controller, producing the comparison metrics (T1, T2)
-//   * find_best_static — oracle sweep over all static configurations
+// The oracle sweep over all static configurations is
+// sweep_static_parallel (core/parallel.h).
 #pragma once
 
 #include <memory>
@@ -101,12 +102,5 @@ struct TrainResult {
 /// round) never shift the training seed stream.
 TrainResult train_dqn(NocConfigEnv& env, rl::DqnAgent& agent,
                       const TrainParams& params);
-
-/// Evaluates every static configuration for one episode and returns results
-/// sorted by mean EDP (oracle-static baseline; element 0 is the oracle).
-/// Configurations are evaluated concurrently across `jobs` threads (<= 0
-/// means one per hardware thread); results are bit-identical to a serial
-/// sweep at any thread count.
-std::vector<EpisodeResult> sweep_static(NocConfigEnv& env, int jobs = 1);
 
 }  // namespace drlnoc::core

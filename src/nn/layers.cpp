@@ -24,25 +24,16 @@ void Linear::init_xavier(util::Rng& rng) {
   b_.fill(0.0);
 }
 
-void Linear::forward_into(const Matrix& x, Matrix& y) {
-  assert(x.cols() == w_.rows());
-  assert(&x != &y);
-  cache_x_ = x;
-  matmul_into(y, x, w_);
-  add_row_inplace(y, b_);
-}
-
-Matrix Linear::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
 void Linear::infer_into(const Matrix& x, Matrix& y) {
   assert(x.cols() == w_.rows());
   assert(&x != &y);
   matmul_into(y, x, w_);
   add_row_inplace(y, b_);
+}
+
+void Linear::forward_into(const Matrix& x, Matrix& y) {
+  cache_x_ = x;
+  infer_into(x, y);
 }
 
 namespace {
@@ -96,20 +87,10 @@ void Linear::backward_params_only(const Matrix& grad_out,
 }
 
 void Linear::backward_into(const Matrix& grad_out, Matrix& grad_in) {
-  assert(grad_out.rows() == cache_x_.rows() && grad_out.cols() == w_.cols());
   assert(&grad_out != &grad_in);
-  weight_grad_into(gw_stage_, w_t_, cache_x_, grad_out);
-  gw_ += gw_stage_;
-  column_sums_into(gb_stage_, grad_out);
-  gb_ += gb_stage_;
+  backward_params_only(grad_out, grad_in);
   transpose_into(w_t_, w_);
   matmul_into(grad_in, grad_out, w_t_);
-}
-
-Matrix Linear::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
 }
 
 void Linear::zero_grads() {
@@ -124,27 +105,17 @@ std::unique_ptr<Layer> Linear::clone() const {
   return copy;
 }
 
-void ReLU::forward_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  cache_x_ = x;
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.0 ? px[i] : 0.0;
-}
-
-Matrix ReLU::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
 void ReLU::infer_into(const Matrix& x, Matrix& y) {
   assert(&x != &y);
   y.resize_fast(x.rows(), x.cols());
   const double* __restrict__ px = x.data();
   double* __restrict__ py = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.0 ? px[i] : 0.0;
+}
+
+void ReLU::forward_into(const Matrix& x, Matrix& y) {
+  cache_x_ = x;
+  infer_into(x, y);
 }
 
 void ReLU::backward_into(const Matrix& grad_out, Matrix& grad_in) {
@@ -159,33 +130,17 @@ void ReLU::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   }
 }
 
-Matrix ReLU::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
-}
-
-void Tanh::forward_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  y.resize_fast(x.rows(), x.cols());
-  const double* __restrict__ px = x.data();
-  double* __restrict__ py = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) py[i] = std::tanh(px[i]);
-  cache_y_ = y;
-}
-
-Matrix Tanh::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
 void Tanh::infer_into(const Matrix& x, Matrix& y) {
   assert(&x != &y);
   y.resize_fast(x.rows(), x.cols());
   const double* __restrict__ px = x.data();
   double* __restrict__ py = y.data();
   for (std::size_t i = 0; i < x.size(); ++i) py[i] = std::tanh(px[i]);
+}
+
+void Tanh::forward_into(const Matrix& x, Matrix& y) {
+  infer_into(x, y);
+  cache_y_ = y;
 }
 
 void Tanh::backward_into(const Matrix& grad_out, Matrix& grad_in) {
@@ -199,12 +154,6 @@ void Tanh::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   }
 }
 
-Matrix Tanh::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
-}
-
 DuelingHead::DuelingHead(std::size_t in, std::size_t actions)
     : value_(in, 1), advantage_(in, actions) {}
 
@@ -213,32 +162,21 @@ void DuelingHead::init_he(util::Rng& rng) {
   advantage_.init_he(rng);
 }
 
-void DuelingHead::forward_into(const Matrix& x, Matrix& y) {
-  assert(&x != &y);
-  value_.forward_into(x, v_ws_);      // (batch, 1)
-  advantage_.forward_into(x, a_ws_);  // (batch, n)
-  y.resize_fast(a_ws_.rows(), a_ws_.cols());
-  const auto n = static_cast<double>(a_ws_.cols());
-  for (std::size_t r = 0; r < a_ws_.rows(); ++r) {
-    double mean = 0.0;
-    for (std::size_t c = 0; c < a_ws_.cols(); ++c) mean += a_ws_.at(r, c);
-    mean /= n;
-    for (std::size_t c = 0; c < a_ws_.cols(); ++c) {
-      y.at(r, c) = v_ws_.at(r, 0) + a_ws_.at(r, c) - mean;
-    }
-  }
-}
-
-Matrix DuelingHead::forward(const Matrix& x) {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
 void DuelingHead::infer_into(const Matrix& x, Matrix& y) {
   assert(&x != &y);
-  value_.infer_into(x, v_ws_);
-  advantage_.infer_into(x, a_ws_);
+  value_.infer_into(x, v_ws_);      // (batch, 1)
+  advantage_.infer_into(x, a_ws_);  // (batch, n)
+  combine(y);
+}
+
+void DuelingHead::forward_into(const Matrix& x, Matrix& y) {
+  assert(&x != &y);
+  value_.forward_into(x, v_ws_);
+  advantage_.forward_into(x, a_ws_);
+  combine(y);
+}
+
+void DuelingHead::combine(Matrix& y) const {
   y.resize_fast(a_ws_.rows(), a_ws_.cols());
   const auto n = static_cast<double>(a_ws_.cols());
   for (std::size_t r = 0; r < a_ws_.rows(); ++r) {
@@ -275,12 +213,6 @@ void DuelingHead::backward_into(const Matrix& grad_out, Matrix& grad_in) {
   value_.backward_into(dv_ws_, grad_in);
   advantage_.backward_into(da_ws_, dx_ws_);
   grad_in += dx_ws_;
-}
-
-Matrix DuelingHead::backward(const Matrix& grad_out) {
-  Matrix grad_in;
-  backward_into(grad_out, grad_in);
-  return grad_in;
 }
 
 void DuelingHead::backward_params_only(const Matrix& grad_out,
@@ -368,20 +300,6 @@ Mlp& Mlp::operator=(const Mlp& other) {
   return *this;
 }
 
-Matrix Mlp::forward(const Matrix& x) {
-  Matrix h = x;
-  for (auto& layer : layers_) h = layer->forward(h);
-  return h;
-}
-
-Matrix Mlp::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
-}
-
 const Matrix& Mlp::forward_ws(const Matrix& x) {
   assert(!layers_.empty());
   acts_.resize(layers_.size());  // no-op after the first call
@@ -391,19 +309,6 @@ const Matrix& Mlp::forward_ws(const Matrix& x) {
     in = &acts_[i];
   }
   return *in;
-}
-
-const Matrix& Mlp::backward_ws(const Matrix& grad_out) {
-  assert(!layers_.empty());
-  const Matrix* g = &grad_out;
-  bool ping = true;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Matrix& dst = ping ? grad_ping_ : grad_pong_;
-    (*it)->backward_into(*g, dst);
-    g = &dst;
-    ping = !ping;
-  }
-  return *g;
 }
 
 const Matrix& Mlp::infer_ws(const Matrix& x) {

@@ -1,12 +1,9 @@
-// Layers and the MLP container. Forward caches what backward needs; backward
-// accumulates parameter gradients and returns the input gradient, so layers
-// compose by simple chaining.
-//
-// Every layer offers two equivalent compute paths: the value-returning
-// forward()/backward() convenience API, and the allocation-free
-// forward_into()/backward_into() workspace API that writes into caller-owned
-// buffers (used by Mlp::forward_ws / Mlp::backward_ws and the DQN learn
-// step). Both paths produce bit-identical results.
+// Layers and the MLP container. All compute runs on allocation-free
+// workspace calls that write into caller-owned buffers: forward_into caches
+// what backward reads, infer_into skips those caches, and backward_into
+// accumulates parameter gradients and writes the input gradient, so layers
+// compose by simple chaining (Mlp::forward_ws / infer_ws /
+// backward_params_ws, which the DQN learn step runs).
 #pragma once
 
 #include <iosfwd>
@@ -23,24 +20,18 @@ class Layer {
  public:
   virtual ~Layer() = default;
   virtual std::string name() const = 0;
-  /// x: (batch, in) -> (batch, out).
-  virtual Matrix forward(const Matrix& x) = 0;
-  /// grad wrt output -> grad wrt input; accumulates parameter grads.
-  virtual Matrix backward(const Matrix& grad_out) = 0;
-  /// Allocation-free paths: write the result into `y` / `grad_in`, which
-  /// must not alias the input. The defaults fall back to the value API;
-  /// concrete layers override with zero-allocation implementations.
-  virtual void forward_into(const Matrix& x, Matrix& y) { y = forward(x); }
-  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) {
-    grad_in = backward(grad_out);
-  }
-  /// Inference-only forward: same outputs as forward_into, but skips the
+  /// Inference-only forward, x: (batch, in) -> y: (batch, out). Writes no
   /// backward caches (target-network evaluation, greedy action selection).
-  virtual void infer_into(const Matrix& x, Matrix& y) { forward_into(x, y); }
+  /// `y` must not alias `x`; the same holds for every call below.
+  virtual void infer_into(const Matrix& x, Matrix& y) = 0;
+  /// infer_into plus the cache that backward_into reads.
+  virtual void forward_into(const Matrix& x, Matrix& y) = 0;
+  /// grad wrt output -> grad wrt input; accumulates parameter grads.
+  virtual void backward_into(const Matrix& grad_out, Matrix& grad_in) = 0;
   /// Backward that only accumulates parameter gradients, skipping the
   /// input-gradient matmul — valid for the FIRST layer of a network, whose
-  /// input gradient nobody consumes. `scratch` is workspace for the
-  /// default fallback.
+  /// input gradient nobody consumes. Layers without that shortcut run
+  /// backward_into with `scratch` as the discarded input gradient.
   virtual void backward_params_only(const Matrix& grad_out, Matrix& scratch) {
     backward_into(grad_out, scratch);
   }
@@ -63,8 +54,6 @@ class Linear : public Layer {
   void init_xavier(util::Rng& rng);
 
   std::string name() const override { return "linear"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -84,22 +73,20 @@ class Linear : public Layer {
  private:
   Matrix w_, b_, gw_, gb_, cache_x_;
   // Gradient staging: matmul results land here, then accumulate into
-  // gw_/gb_ with the same element-wise add as the value API (bit-identity
-  // even when gradients are accumulated across multiple backward calls).
+  // gw_/gb_ with an element-wise add (so gradients sum the same way when
+  // accumulated across multiple backward calls).
   Matrix gw_stage_, gb_stage_;
   // Wᵀ scratch: the input gradient grad_out·Wᵀ runs through the
   // vectorisable row-major matmul kernel instead of scalar dot products.
-  // Bit-identical to matmul_nt: each element's terms stay in ascending-k
-  // order, and the kernel's ±0-term skip cannot change a +0-seeded
-  // accumulator (x + ±0 == x for every x the skip path can see).
+  // Bit-identical to matmul_nt_into: each element's terms stay in
+  // ascending-k order, and the kernel's ±0-term skip cannot change a
+  // +0-seeded accumulator (x + ±0 == x for every x the skip path can see).
   Matrix w_t_;
 };
 
 class ReLU : public Layer {
  public:
   std::string name() const override { return "relu"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -114,8 +101,6 @@ class ReLU : public Layer {
 class Tanh : public Layer {
  public:
   std::string name() const override { return "tanh"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -136,8 +121,6 @@ class DuelingHead : public Layer {
   void init_he(util::Rng& rng);
 
   std::string name() const override { return "dueling"; }
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) override;
   void backward_into(const Matrix& grad_out, Matrix& grad_in) override;
   void infer_into(const Matrix& x, Matrix& y) override;
@@ -153,6 +136,8 @@ class DuelingHead : public Layer {
   std::size_t actions() const { return advantage_.fan_out(); }
 
  private:
+  /// y = V + A - mean(A) from the v_ws_ / a_ws_ the sub-layers just wrote.
+  void combine(Matrix& y) const;
   /// Splits dL/dq into the value gradient (dv_ws_) and the mean-centred
   /// advantage gradient (da_ws_): dv_r = Σ_c dq_rc, da_rc = dq_rc - mean.
   void split_grad(const Matrix& grad_out);
@@ -180,21 +165,17 @@ class Mlp {
   Mlp(Mlp&&) = default;
   Mlp& operator=(Mlp&&) = default;
 
-  Matrix forward(const Matrix& x);
-  /// Gradient wrt network input (parameter grads accumulated inside).
-  Matrix backward(const Matrix& grad_out);
-
-  /// Workspace paths: identical math to forward()/backward(), but all
-  /// intermediate activations/gradients live in persistent per-layer
-  /// buffers, so steady-state calls perform zero heap allocations. The
-  /// returned reference is valid until the next *_ws call on this Mlp.
+  /// Workspace paths: all intermediate activations/gradients live in
+  /// persistent per-layer buffers, so steady-state calls perform zero heap
+  /// allocations. The returned reference is valid until the next *_ws call
+  /// on this Mlp.
   const Matrix& forward_ws(const Matrix& x);
-  const Matrix& backward_ws(const Matrix& grad_out);
   /// Inference-only workspace forward: same values as forward_ws but no
   /// backward caches are written (safe for target nets / greedy eval).
   const Matrix& infer_ws(const Matrix& x);
-  /// backward_ws minus the first layer's input-gradient matmul — for
-  /// training steps that never consume the gradient wrt the network input.
+  /// Accumulates parameter gradients for the last forward_ws. Skips the
+  /// first layer's input-gradient matmul: training never consumes the
+  /// gradient wrt the network input.
   void backward_params_ws(const Matrix& grad_out);
 
   void zero_grads();
@@ -237,7 +218,8 @@ class Mlp {
   bool dueling_ = false;
   std::vector<std::size_t> sizes_;
   // Workspace (not copied; rebuilt lazily). acts_[i] holds layer i's
-  // output; gradients ping-pong between two buffers through backward_ws.
+  // output; gradients ping-pong between two buffers through
+  // backward_params_ws.
   std::vector<Matrix> acts_;
   Matrix grad_ping_, grad_pong_;
   std::vector<Matrix*> params_cache_, grads_cache_;

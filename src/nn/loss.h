@@ -1,8 +1,8 @@
-// Loss functions. Each returns the scalar loss (mean over contributing
-// elements) and the gradient matrix dL/dpred to feed Mlp::backward().
-// The masked variants update only the chosen-action entries — the DQN
-// training signal, where the network outputs all Q(s,·) but only Q(s,a) has
-// a regression target.
+// Loss functions. Each yields the scalar loss (mean over contributing
+// elements) and the gradient matrix dL/dpred to feed
+// Mlp::backward_params_ws(). The masked variant updates only the
+// chosen-action entries — the DQN training signal, where the network
+// outputs all Q(s,·) but only Q(s,a) has a regression target.
 #pragma once
 
 #include <utility>
@@ -20,10 +20,6 @@ struct LossResult {
 /// Mean squared error over all elements.
 LossResult mse_loss(const Matrix& pred, const Matrix& target);
 
-/// Huber (smooth-L1) with threshold delta over all elements.
-LossResult huber_loss(const Matrix& pred, const Matrix& target,
-                      double delta = 1.0);
-
 /// Per-row masked Huber: row i contributes only column action[i], with
 /// target value target[i] and importance weight weight[i]. Returns the
 /// weighted mean loss; grad rows are zero outside the selected column.
@@ -34,15 +30,9 @@ struct MaskedLossResult {
   std::vector<double> td_abs;  ///< |pred - target| per row
 };
 
-MaskedLossResult masked_huber_loss(const Matrix& pred,
-                                   const std::vector<int>& action,
-                                   const std::vector<double>& target,
-                                   const std::vector<double>& weight,
-                                   double delta = 1.0);
-
-/// Allocation-free variant: reuses `out`'s grad matrix and td_abs vector
-/// (the DQN learn step calls this every gradient step with a persistent
-/// workspace). Results are bit-identical to masked_huber_loss().
+/// Writes into `out`, reusing its grad matrix and td_abs vector: the DQN
+/// learn step calls this every gradient step with a persistent workspace,
+/// so steady-state calls perform no heap allocation.
 void masked_huber_loss_into(MaskedLossResult& out, const Matrix& pred,
                             const std::vector<int>& action,
                             const std::vector<double>& target,

@@ -160,12 +160,6 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
   }
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_into(c, a, b);
-  return c;
-}
-
 void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   assert(&c != &a && &c != &b);
@@ -195,12 +189,6 @@ void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b) {
       if (nnz > 0) accumulate_row(ci, n, pb, nz, av, nnz);
     }
   }
-}
-
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_tn_into(c, a, b);
-  return c;
 }
 
 void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b) {
@@ -244,12 +232,6 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b) {
   }
 }
 
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_nt_into(c, a, b);
-  return c;
-}
-
 void transpose_into(Matrix& dst, const Matrix& src) {
   assert(&dst != &src);
   const std::size_t m = src.rows(), n = src.cols();
@@ -283,12 +265,6 @@ void column_sums_into(Matrix& s, const Matrix& a) {
     const double* ai = pa + i * n;
     for (std::size_t j = 0; j < n; ++j) ps[j] += ai[j];
   }
-}
-
-Matrix column_sums(const Matrix& a) {
-  Matrix s;
-  column_sums_into(s, a);
-  return s;
 }
 
 }  // namespace drlnoc::nn

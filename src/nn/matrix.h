@@ -63,29 +63,24 @@ class Matrix {
 /// allocation-free argmax path used by greedy action selection.
 std::size_t argmax_row(const Matrix& m, std::size_t r);
 
-// Matmul kernels. The `_into` forms reshape `c` and overwrite it, reusing
-// its storage — the allocation-free workspace path; the value-returning
-// forms are thin wrappers. All kernels accumulate each output element in
-// ascending-k order with a skip of exact-zero left-hand factors, exactly
-// like the original naive loops, so results are bit-identical whichever
-// form is used (the determinism contract's kernel summation-order rule; see
-// README "Performance"). `c` must not alias `a` or `b`.
+// Matmul kernels. Each reshapes `c` and overwrites it, reusing its storage
+// (the allocation-free workspace path). All kernels accumulate each output
+// element in ascending-k order with a skip of exact-zero left-hand factors,
+// exactly like the original naive loops, so results are bit-identical to
+// them (the determinism contract's kernel summation-order rule; see README
+// "Performance"). `c` must not alias `a` or `b`.
 
 /// C = A (m×k) * B (k×n).
-Matrix matmul(const Matrix& a, const Matrix& b);
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b);
 /// C = Aᵀ (k×m) * B (k×n) — used for weight gradients.
-Matrix matmul_tn(const Matrix& a, const Matrix& b);
 void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b);
-/// C = A (m×k) * Bᵀ (n×k) — used for input gradients.
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
+/// C = A (m×k) * Bᵀ (n×k) — the naive input-gradient form.
 void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b);
 /// dst = srcᵀ (dst reshaped in place; must not alias src).
 void transpose_into(Matrix& dst, const Matrix& src);
 /// Adds a 1×n row vector to every row of a (m×n).
 void add_row_inplace(Matrix& a, const Matrix& row);
-/// 1×n column sums of a (m×n) — bias gradient.
-Matrix column_sums(const Matrix& a);
+/// s = 1×n column sums of a (m×n) — bias gradient.
 void column_sums_into(Matrix& s, const Matrix& a);
 
 }  // namespace drlnoc::nn

@@ -24,9 +24,8 @@ class ReplayBuffer {
   /// Copy-assigns into the FIFO slot, so a full buffer reuses each slot's
   /// state-vector capacity (no steady-state allocation).
   void push(const Transition& t);
-  SampledBatch sample(std::size_t batch, util::Rng& rng) const;
-  /// Allocation-free sampling into a persistent batch workspace; identical
-  /// RNG consumption and results as sample().
+  /// Samples `batch` transitions into a persistent batch workspace,
+  /// reusing its capacity (no steady-state allocation).
   void sample_into(SampledBatch& out, std::size_t batch, util::Rng& rng) const;
   std::size_t size() const { return data_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -66,9 +65,8 @@ class PrioritizedReplayBuffer {
                           double beta = 0.4, double eps = 1e-3);
 
   void push(const Transition& t);
-  SampledBatch sample(std::size_t batch, util::Rng& rng) const;
-  /// Allocation-free sampling into a persistent batch workspace; identical
-  /// RNG consumption and results as sample().
+  /// Samples `batch` transitions into a persistent batch workspace,
+  /// reusing its capacity (no steady-state allocation).
   void sample_into(SampledBatch& out, std::size_t batch, util::Rng& rng) const;
   void update_priorities(const std::vector<std::size_t>& indices,
                          const std::vector<double>& td_abs);

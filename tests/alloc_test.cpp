@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -132,37 +133,36 @@ TEST(SteadyStateAllocations, NetworkStepAfterReconfigIsAllocationFree) {
   EXPECT_EQ(after - before, 0u);
 }
 
+// The DQN learn step's network calls, in its order (rl::DqnAgent::learn):
+// inference on the next states, the training forward, the masked Huber
+// loss, then backward, clipping and the Adam step — loss included.
 TEST(SteadyStateAllocations, MlpWorkspacePathsAreAllocationFree) {
   util::Rng rng(7);
   nn::Mlp mlp({20, 64, 64, 36}, nn::Activation::kReLU, rng);
   nn::Adam opt(1e-3);
-  nn::Matrix x(32, 20), target(32, 36);
+  nn::Matrix x(32, 20), next_x(32, 20);
   for (double& v : x.raw()) v = rng.uniform(-1.0, 1.0);
-  for (double& v : target.raw()) v = rng.uniform(-1.0, 1.0);
-  nn::LossResult loss;
+  for (double& v : next_x.raw()) v = rng.uniform(-1.0, 1.0);
+  std::vector<int> actions(32);
+  std::vector<double> targets(32), weights(32, 1.0);
+  for (int& a : actions) a = static_cast<int>(rng.below(36));
+  for (double& t : targets) t = rng.uniform(-1.0, 1.0);
+  nn::MaskedLossResult loss;
 
-  auto one_step = [&] {
-    const nn::Matrix& y = mlp.forward_ws(x);
-    (void)mlp.infer_ws(x);
-    loss = nn::mse_loss(y, target);  // loss result reuses its capacity? no —
-    // mse_loss allocates; keep it OUT of the audited window below.
+  auto learn_step = [&] {
+    (void)mlp.infer_ws(next_x);
+    const nn::Matrix& q = mlp.forward_ws(x);
+    nn::masked_huber_loss_into(loss, q, actions, targets, weights);
     mlp.zero_grads();
-    mlp.backward_ws(loss.grad);
-    opt.step(mlp.params(), mlp.grads());
-  };
-  one_step();
-  one_step();
-
-  const std::uint64_t before = alloc_count();
-  for (int i = 0; i < 50; ++i) {
-    (void)mlp.forward_ws(x);
-    (void)mlp.infer_ws(x);
-    mlp.zero_grads();
-    mlp.backward_ws(loss.grad);
     mlp.backward_params_ws(loss.grad);
     (void)mlp.clip_grad_norm(10.0);
     opt.step(mlp.params(), mlp.grads());
-  }
+  };
+  learn_step();
+  learn_step();
+
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 50; ++i) learn_step();
   const std::uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u) << "Mlp workspace path allocated";
 }

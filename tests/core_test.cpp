@@ -4,6 +4,7 @@
 #include "core/controller.h"
 #include "core/env_noc.h"
 #include "core/features.h"
+#include "core/parallel.h"
 #include "core/reward.h"
 #include "core/trainer.h"
 
@@ -281,8 +282,7 @@ TEST(Trainer, EvaluateRecordsEpochsAndActions) {
 TEST(Trainer, StaticSweepSortedByEdp) {
   NocEnvParams ep = small_env();
   ep.epochs_per_episode = 3;
-  NocConfigEnv env(ep);
-  const auto sweep = sweep_static(env);
+  const auto sweep = sweep_static_parallel(ep, ExperimentRunner(1));
   ASSERT_EQ(sweep.size(), 36u);
   for (std::size_t i = 1; i < sweep.size(); ++i) {
     EXPECT_LE(sweep[i - 1].mean_edp, sweep[i].mean_edp);

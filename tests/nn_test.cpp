@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "nn/layers.h"
@@ -11,6 +13,13 @@
 
 namespace drlnoc::nn {
 namespace {
+
+/// One layer's training-mode forward into a fresh matrix.
+Matrix forward_of(Layer& layer, const Matrix& x) {
+  Matrix y;
+  layer.forward_into(x, y);
+  return y;
+}
 
 TEST(Matrix, BasicOps) {
   Matrix a(2, 3, 1.0);
@@ -31,7 +40,8 @@ TEST(Matrix, MatmulAgainstHand) {
   double av[] = {1, 2, 3, 4, 5, 6}, bv[] = {7, 8, 9, 10, 11, 12};
   std::copy(av, av + 6, a.raw().begin());
   std::copy(bv, bv + 6, b.raw().begin());
-  const Matrix c = matmul(a, b);
+  Matrix c;
+  matmul_into(c, a, b);
   EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c.at(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c.at(1, 0), 139.0);
@@ -44,13 +54,15 @@ TEST(Matrix, TransposedProductsConsistent) {
   for (double& v : a.raw()) v = rng.normal();
   for (double& v : b.raw()) v = rng.normal();
   for (double& v : c.raw()) v = rng.normal();
-  // matmul_tn(a, b) == aᵀ b; check one element by explicit sum.
-  const Matrix tn = matmul_tn(a, b);
+  // matmul_tn_into(a, b) == aᵀ b; check one element by explicit sum.
+  Matrix tn;
+  matmul_tn_into(tn, a, b);
   double expect = 0.0;
   for (int k = 0; k < 4; ++k) expect += a.at(k, 1) * b.at(k, 2);
   EXPECT_NEAR(tn.at(1, 2), expect, 1e-12);
-  // matmul_nt(a, c) == a cᵀ (3 columns shared).
-  const Matrix nt = matmul_nt(a, c);
+  // matmul_nt_into(a, c) == a cᵀ (3 columns shared).
+  Matrix nt;
+  matmul_nt_into(nt, a, c);
   expect = 0.0;
   for (int k = 0; k < 3; ++k) expect += a.at(2, k) * c.at(4, k);
   EXPECT_NEAR(nt.at(2, 4), expect, 1e-12);
@@ -81,7 +93,7 @@ TEST(Linear, ForwardMatchesHand) {
   Matrix x(1, 2);
   x.at(0, 0) = 1.0;
   x.at(0, 1) = 2.0;
-  const Matrix y = lin.forward(x);
+  const Matrix y = forward_of(lin, x);
   EXPECT_DOUBLE_EQ(y.at(0, 0), 1.0 + 6.0 + 0.5);
   EXPECT_DOUBLE_EQ(y.at(0, 1), 2.0 + 8.0 - 0.5);
 }
@@ -94,10 +106,10 @@ TEST(Activations, ForwardShapes) {
   x.at(0, 1) = 2.0;
   x.at(1, 0) = 0.0;
   x.at(1, 1) = -3.0;
-  const Matrix r = relu.forward(x);
+  const Matrix r = forward_of(relu, x);
   EXPECT_DOUBLE_EQ(r.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(r.at(0, 1), 2.0);
-  const Matrix t = tanh_layer.forward(x);
+  const Matrix t = forward_of(tanh_layer, x);
   EXPECT_NEAR(t.at(0, 1), std::tanh(2.0), 1e-12);
 }
 
@@ -113,13 +125,13 @@ TEST_P(GradCheck, MlpMatchesFiniteDifferences) {
   for (double& v : target.raw()) v = rng.normal();
 
   auto loss_of = [&](Mlp& net) {
-    return mse_loss(net.forward(x), target).loss;
+    return mse_loss(net.forward_ws(x), target).loss;
   };
 
   // Analytic gradients.
   mlp.zero_grads();
-  const LossResult lr = mse_loss(mlp.forward(x), target);
-  mlp.backward(lr.grad);
+  const LossResult lr = mse_loss(mlp.forward_ws(x), target);
+  mlp.backward_params_ws(lr.grad);
 
   const double eps = 1e-6;
   auto params = mlp.params();
@@ -157,19 +169,22 @@ TEST(Loss, MaskedHuberGradientMatchesFiniteDifference) {
   const std::vector<double> targets = {0.5, -2.0, 4.0};  // one far (linear)
   const std::vector<double> weights = {1.0, 0.5, 2.0};
 
-  const MaskedLossResult res =
-      masked_huber_loss(pred, actions, targets, weights);
+  auto loss_at = [&] {
+    MaskedLossResult r;
+    masked_huber_loss_into(r, pred, actions, targets, weights);
+    return r.loss;
+  };
+  MaskedLossResult res;
+  masked_huber_loss_into(res, pred, actions, targets, weights);
   const double eps = 1e-6;
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       double& v = pred.at(r, c);
       const double orig = v;
       v = orig + eps;
-      const double up =
-          masked_huber_loss(pred, actions, targets, weights).loss;
+      const double up = loss_at();
       v = orig - eps;
-      const double down =
-          masked_huber_loss(pred, actions, targets, weights).loss;
+      const double down = loss_at();
       v = orig;
       EXPECT_NEAR(res.grad.at(r, c), (up - down) / (2 * eps) / 3.0 * 3.0,
                   1e-5);
@@ -185,7 +200,7 @@ TEST(Mlp, CopyAndSoftUpdate) {
   Mlp b({2, 4, 2}, Activation::kReLU, rng);
   b.copy_weights_from(a);
   Matrix x(1, 2, 0.3);
-  EXPECT_EQ(a.forward(x).row(0), b.forward(x).row(0));
+  EXPECT_EQ(a.forward_ws(x).row(0), b.forward_ws(x).row(0));
 
   Mlp c({2, 4, 2}, Activation::kReLU, rng);
   const double before = c.params()[0]->at(0, 0);
@@ -201,7 +216,7 @@ TEST(Mlp, GradClipBoundsNorm) {
   for (double& v : x.raw()) v = rng.normal() * 10;
   for (double& v : t.raw()) v = rng.normal() * 10;
   mlp.zero_grads();
-  mlp.backward(mse_loss(mlp.forward(x), t).grad);
+  mlp.backward_params_ws(mse_loss(mlp.forward_ws(x), t).grad);
   mlp.clip_grad_norm(0.5);
   double total = 0.0;
   for (Matrix* g : mlp.grads()) total += g->norm() * g->norm();
@@ -213,14 +228,43 @@ TEST(Mlp, SaveLoadPreservesFunction) {
   Mlp mlp({4, 8, 3}, Activation::kTanh, rng);
   Matrix x(2, 4);
   for (double& v : x.raw()) v = rng.normal();
-  const auto before = mlp.forward(x).row(0);
+  const auto before = mlp.forward_ws(x).row(0);
   std::stringstream ss;
   mlp.save(ss);
   Mlp loaded = Mlp::load(ss);
-  const auto after = loaded.forward(x).row(0);
+  const auto after = loaded.forward_ws(x).row(0);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i], after[i], 1e-12);
+  }
+}
+
+// forward_into is infer_into plus a cache, so training-mode and inference
+// forwards must agree to the last bit for every layer kind and batch size.
+TEST(Mlp, InferMatchesForwardBitForBit) {
+  struct Net {
+    Activation act;
+    bool dueling;
+  };
+  for (const Net net : {Net{Activation::kReLU, false},
+                        Net{Activation::kTanh, false},
+                        Net{Activation::kReLU, true}}) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+      util::Rng rng(27);
+      Mlp mlp({6, 16, 16, 5}, net.act, rng, net.dueling);
+      Matrix x(batch, 6);
+      for (double& v : x.raw()) v = rng.normal();
+      const Matrix trained = mlp.forward_ws(x);
+      const Matrix& inferred = mlp.infer_ws(x);
+      ASSERT_EQ(inferred.rows(), batch);
+      ASSERT_EQ(inferred.cols(), 5u);
+      for (std::size_t i = 0; i < trained.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(trained.raw()[i]),
+                  std::bit_cast<std::uint64_t>(inferred.raw()[i]))
+            << "dueling=" << net.dueling << " batch=" << batch
+            << " element " << i;
+      }
+    }
   }
 }
 
@@ -230,7 +274,7 @@ TEST(DuelingHead, QDecomposition) {
   head.init_he(rng);
   Matrix x(2, 3);
   for (double& v : x.raw()) v = rng.normal();
-  const Matrix q = head.forward(x);
+  const Matrix q = forward_of(head, x);
   ASSERT_EQ(q.rows(), 2u);
   ASSERT_EQ(q.cols(), 4u);
   // Per construction, mean_c(Q_rc) == V_r, i.e. advantages are centred:
@@ -246,8 +290,8 @@ TEST(DuelingHead, GradientMatchesFiniteDifferences) {
   for (double& v : x.raw()) v = rng.normal();
   for (double& v : target.raw()) v = rng.normal();
   mlp.zero_grads();
-  const LossResult lr = mse_loss(mlp.forward(x), target);
-  mlp.backward(lr.grad);
+  const LossResult lr = mse_loss(mlp.forward_ws(x), target);
+  mlp.backward_params_ws(lr.grad);
   auto params = mlp.params();
   auto grads = mlp.grads();
   const double eps = 1e-6;
@@ -256,9 +300,9 @@ TEST(DuelingHead, GradientMatchesFiniteDifferences) {
       double& w = params[p]->raw()[i];
       const double orig = w;
       w = orig + eps;
-      const double up = mse_loss(mlp.forward(x), target).loss;
+      const double up = mse_loss(mlp.forward_ws(x), target).loss;
       w = orig - eps;
-      const double down = mse_loss(mlp.forward(x), target).loss;
+      const double down = mse_loss(mlp.forward_ws(x), target).loss;
       w = orig;
       EXPECT_NEAR(grads[p]->raw()[i], (up - down) / (2 * eps), 1e-5)
           << "param " << p << " index " << i;
@@ -271,11 +315,11 @@ TEST(DuelingHead, SaveLoadRoundTrip) {
   Mlp mlp({4, 8, 3}, Activation::kReLU, rng, /*dueling=*/true);
   Matrix x(1, 4);
   for (double& v : x.raw()) v = rng.normal();
-  const auto before = mlp.forward(x).row(0);
+  const auto before = mlp.forward_ws(x).row(0);
   std::stringstream ss;
   mlp.save(ss);
   Mlp loaded = Mlp::load(ss);
-  const auto after = loaded.forward(x).row(0);
+  const auto after = loaded.forward_ws(x).row(0);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i], after[i], 1e-12);
   }
@@ -317,9 +361,9 @@ TEST(Optimizer, MlpLearnsXor) {
   double loss = 1.0;
   for (int i = 0; i < 2000 && loss > 1e-3; ++i) {
     mlp.zero_grads();
-    const LossResult lr = mse_loss(mlp.forward(x), t);
+    const LossResult lr = mse_loss(mlp.forward_ws(x), t);
     loss = lr.loss;
-    mlp.backward(lr.grad);
+    mlp.backward_params_ws(lr.grad);
     opt.step(mlp.params(), mlp.grads());
   }
   EXPECT_LT(loss, 1e-3);

@@ -218,18 +218,5 @@ TEST(EvaluateMany, WorkerExceptionPropagates) {
       std::runtime_error);
 }
 
-TEST(SweepStatic, TrainerEntryPointUsesEngine) {
-  // The public sweep_static(env, jobs) must agree with the engine call for
-  // any jobs value.
-  const core::NocEnvParams ep = small_env_params();
-  core::NocConfigEnv env(ep);
-  const auto via_env = core::sweep_static(env, 2);
-  const auto via_engine =
-      core::sweep_static_parallel(ep, core::ExperimentRunner(2));
-  ASSERT_EQ(via_env.size(), via_engine.size());
-  for (std::size_t i = 0; i < via_env.size(); ++i)
-    expect_identical(via_env[i], via_engine[i]);
-}
-
 }  // namespace
 }  // namespace drlnoc

@@ -87,7 +87,8 @@ constexpr const char* kRunHelp =
     "scheduled policy evaluation (static/heuristic/trained-DRL)\n"
     "reporting per-tenant latency and SLO hit rates; epochs= and\n"
     "epoch_cycles= override the schedule, cycle_limit/duration do\n"
-    "not apply, and completion exits 0.\n"
+    "not apply, and completion exits 0. Without one, epochs=,\n"
+    "epoch_cycles= and pin= are errors (exit 2).\n"
     "For a drl schedule, pin=HEX16 overrides the file's `pin` key:\n"
     "the run refuses to start unless the policy file's fingerprint\n"
     "(rl::policy_fingerprint, printed by `train`) matches.\n"
@@ -384,6 +385,13 @@ int cmd_run(const util::Config& cfg) {
     const int rc = run_with_schedule(s, session);
     if (!session.finish() && rc == 0) return 1;
     return rc;
+  }
+  for (const char* key : {"epochs", "epoch_cycles", "pin"}) {
+    if (cfg.has(key)) {
+      LOG_ERROR << "scenarioctl: " << key << "= needs a [controller] block, "
+                << "and " << path << " has none";
+      return 2;
+    }
   }
   s.validate();  // overrides may have broken the horizon invariant
 
